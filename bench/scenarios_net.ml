@@ -24,13 +24,13 @@ module Nmr = Lhws_net.Net_map_reduce
 module Fault = Lhws_net.Fault
 module Rs = Lhws_net.Resilience
 
-let with_lhws_rt ~workers ?fault ?(legacy = false) f =
+let with_lhws_rt ~workers ?fault f =
   Lhws_runtime.Lhws_pool.with_pool ~workers (fun p ->
       let rt =
         Reactor.fibers
           ~register:(fun ~pending ~syscalls poll ->
             Lhws_runtime.Lhws_pool.register_poller p ?pending ?syscalls poll)
-          ?fault ~legacy ()
+          ?fault ()
       in
       f p rt)
 
@@ -139,27 +139,25 @@ let map_reduce profile =
           Printf.printf "%8d %16.3f %16.3f %9.1fx\n%!" workers t_lh t_th speedup)
         workers_list)
 
-(* The batched reactor's headline measurement: the same closed-loop echo
-   load as NET1 run once on the submission/completion reactor and once on
-   the legacy wait-then-retry reactor ([Reactor.fibers ~legacy:true]),
-   comparing kernel I/O calls per request.  The reduction comes from
-   three places working together: eager completion keeps non-blocking
-   ops out of the reactor, the pump paces its readiness passes instead of
-   selecting on every worker idle loop, and Rpc's combining outbox
-   coalesces pipelined frames into single gathering writes.  The ratio is
-   recorded as a wall-free [speedup] sample so bench_guard holds it to
-   the strict 1.25 threshold, and the batched leg's p99 feeds the
-   net_echo* tail-latency guard. *)
+(* The batched reactor's headline measurement: kernel I/O calls per
+   request under the same closed-loop echo load as NET1.  Three things
+   keep the count low: eager completion keeps non-blocking ops out of
+   the reactor, the pump paces its readiness passes instead of polling
+   on every worker idle loop, and Rpc's combining outbox coalesces
+   pipelined frames into single gathering writes.  The bar is absolute:
+   the wait-then-retry reactor this path replaced spent 10.19
+   syscalls/op at smoke size, and 4.35 is that figure divided by the
+   2.93x reduction measured against it, relaxed by 1.25.  Full-size runs
+   coalesce more and sit lower (about 3.3).  The p99 feeds bench_guard's
+   net_echo* tail-latency rule. *)
 let echo_batched profile =
-  R.section
-    "NET3 | batched submission/completion reactor vs legacy wait-then-retry: syscalls/op \
-     and tail latency";
+  R.section "NET3 | batched submission/completion reactor: syscalls/op and tail latency";
   let workers = 2 in
   let conns = R.pick profile ~full:8 ~smoke:2 in
   let inflight = R.pick profile ~full:8 ~smoke:4 in
   let iters = R.pick profile ~full:200 ~smoke:25 in
-  let run_leg ~legacy =
-    with_lhws_rt ~workers ~legacy (fun p rt ->
+  let run () =
+    with_lhws_rt ~workers (fun p rt ->
         let module Pool = P.Lhws_instance in
         Pool.run p (fun () ->
             let l =
@@ -172,41 +170,26 @@ let echo_batched profile =
             let r = Load.run (module Pool) p rt ~conns ~inflight ~iters (Listener.addr l) in
             Listener.shutdown ~grace:5. l;
             R.expect (r.Load.errors = 0);
-            (r, Reactor.io_syscalls rt)))
+            (r, float_of_int (Reactor.io_syscalls rt) /. float_of_int (max 1 r.Load.total))))
   in
   (* Best of 2 by syscalls/op: the count is dominated by deterministic
      per-request traffic, but scheduling noise moves how many readiness
      passes a run needs. *)
-  let best_leg ~legacy =
-    let r1, s1 = run_leg ~legacy in
-    let r2, s2 = run_leg ~legacy in
-    let spo (r, s) = float_of_int s /. float_of_int (max 1 r.Load.total) in
-    if spo (r1, s1) <= spo (r2, s2) then (r1, spo (r1, s1)) else (r2, spo (r2, s2))
-  in
-  let r_batched, spo_batched = best_leg ~legacy:false in
-  let r_legacy, spo_legacy = best_leg ~legacy:true in
-  let ratio = spo_legacy /. spo_batched in
-  (* The acceptance bar: batching must shed at least 30% of the kernel
-     I/O calls the legacy reactor spends per request. *)
-  R.expect (spo_batched <= 0.70 *. spo_legacy);
-  Bench_json.record ~scenario:"net_echo_batched" ~pool:"lhws" ~workers ~speedup:ratio
+  let first = run () in
+  let second = run () in
+  let r, spo = if snd first <= snd second then first else second in
+  R.expect (spo <= 4.35);
+  Bench_json.record ~scenario:"net_echo_batched" ~pool:"lhws" ~workers
     ~counters:
       [
-        ("batched_syscalls_per_op_x100", int_of_float (spo_batched *. 100.));
-        ("legacy_syscalls_per_op_x100", int_of_float (spo_legacy *. 100.));
-        ("p50_us", int_of_float r_batched.Load.p50_us);
-        ("p99_us", int_of_float r_batched.Load.p99_us);
-        ("legacy_p99_us", int_of_float r_legacy.Load.p99_us);
+        ("syscalls_per_op_x100", int_of_float (spo *. 100.));
+        ("p50_us", int_of_float r.Load.p50_us);
+        ("p99_us", int_of_float r.Load.p99_us);
       ]
     ();
   Printf.printf
-    "echo (%d conns x %d in-flight x %d iters):\n\
-    \  batched: %.1f syscalls/op, p50 %.0f us, p99 %.0f us\n\
-    \  legacy:  %.1f syscalls/op, p50 %.0f us, p99 %.0f us\n\
-    \  syscalls/op reduced %.1fx\n\
-     %!"
-    conns inflight iters spo_batched r_batched.Load.p50_us r_batched.Load.p99_us spo_legacy
-    r_legacy.Load.p50_us r_legacy.Load.p99_us ratio
+    "echo (%d conns x %d in-flight x %d iters): %.2f syscalls/op, p50 %.0f us, p99 %.0f us\n%!"
+    conns inflight iters spo r.Load.p50_us r.Load.p99_us
 
 let echo_faults profile =
   R.section

@@ -4,7 +4,7 @@
    through {!Reactor.run_io}: in fiber mode it is attempted inline once
    (eager completion) and otherwise submitted as an intent the pump
    executes on readiness; in blocking mode the deadline becomes the
-   select timeout — either way a dead peer costs Net.Timeout, never a
+   poll timeout — either way a dead peer costs Net.Timeout, never a
    worker parked forever. *)
 
 module Iov = Lhws_runtime.Io.Iov
@@ -58,7 +58,7 @@ let create rt ?read_timeout ?write_timeout fd =
 let fd t = t.fd
 let is_closed t = Atomic.get t.closed
 let last_active t = t.last_active
-let batched t = Reactor.is_batched t.rt
+let batched t = Reactor.is_fibers t.rt
 
 (* Drop one reference; the last one out actually closes the fd.  The
    [fd_closed] CAS keeps a late arrival (an [enter] that raced past a
@@ -90,7 +90,7 @@ let close t =
   if Atomic.compare_and_set t.closed false true then begin
     (* [close] alone does not wake a blocked reader on Linux; [shutdown]
        does, and it also makes fiber-mode parked waiters fail fast
-       (reads return EOF / the next select flags the fd).  The descriptor
+       (reads return EOF / the next poll pass flags the fd).  The descriptor
        itself stays open until in-flight operations release it. *)
     (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error ((Unix.ENOTCONN | Unix.ENOTSOCK | Unix.EBADF | Unix.EINVAL), _, _) ->

@@ -18,9 +18,9 @@ val create :
 val fd : t -> Unix.file_descr
 
 val batched : t -> bool
-(** Whether the underlying reactor runs the batched
-    submission/completion path (see {!Reactor.is_batched}); {!Rpc} keys
-    its frame-coalescing writes off this. *)
+(** Whether the underlying reactor is in fiber mode, i.e. runs the
+    batched submission/completion path (see {!Reactor.is_fibers});
+    {!Rpc} keys its frame-coalescing writes off this. *)
 
 val read : t -> bytes -> int -> int -> int
 (** Returns 0 at end of file (a reset peer reads as EOF).

@@ -3,7 +3,7 @@
 exception Timeout
 (** A per-operation deadline expired while the fiber was parked on
     descriptor readiness (or, on a blocking pool, while waiting in
-    [select]).  The fiber fails instead of parking forever. *)
+    [poll]).  The fiber fails instead of parking forever. *)
 
 exception Closed
 (** The connection (or client) was closed underneath the operation. *)

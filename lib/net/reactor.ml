@@ -14,9 +14,9 @@ type t = { mode : mode; fault : Fault.t option }
 let ignore_sigpipe =
   lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
 
-let fibers ~register ?fault ?watchdog ?(legacy = false) () =
+let fibers ~register ?fault ?watchdog () =
   Lazy.force ignore_sigpipe;
-  let io = Io.create ~legacy () in
+  let io = Io.create () in
   let timer = Timer.create () in
   register
     ~pending:(Some (fun () -> Io.pending io))
@@ -40,9 +40,6 @@ let blocking ?fault () =
 
 let is_fibers t = match t.mode with Fibers _ -> true | Blocking -> false
 
-let is_batched t =
-  match t.mode with Fibers { io; _ } -> not (Io.is_legacy io) | Blocking -> false
-
 let fault t = t.fault
 
 (* Sleep without holding a worker in fiber mode: park the fiber on the
@@ -57,48 +54,8 @@ let sleep t d =
         let deadline = Unix.gettimeofday () +. d in
         Fiber.suspend (fun resume -> Timer.add timer ~deadline resume)
 
-(* A fiber wait raced against a deadline.  Both the Io completion and the
-   timer callback funnel through the reactor's intent-state mutex: the
-   timer side only wins if [Io.cancel] claims the still-armed intent, so
-   exactly one of them resumes the fiber, exactly once. *)
-type verdict = Ready | Timed_out | Bad of exn
-
-let wait_fibers io timer kind fd ~deadline =
-  let verdict = ref Ready in
-  let th = ref None in
-  Fiber.suspend (fun resume ->
-      let on_event e =
-        (match e with None -> () | Some exn -> verdict := Bad exn);
-        resume ()
-      in
-      let w =
-        match kind with
-        | `Readable -> Io.add_readable io fd on_event
-        | `Writable -> Io.add_writable io fd on_event
-      in
-      match deadline with
-      | None -> ()
-      | Some d ->
-          th :=
-            Some
-              (Timer.add_cancellable timer ~deadline:d (fun () ->
-                   if Io.cancel io w then begin
-                     verdict := Timed_out;
-                     resume ()
-                   end)));
-  (* Withdraw the deadline entry when the I/O side won, so per-operation
-     waits with long timeouts don't pile dead closures into the timer heap.
-     Harmless if the timer fired (it removed itself) or is firing (its
-     [Io.cancel] lost the race and does nothing). *)
-  (match !th with None -> () | Some h -> Timer.cancel timer h);
-  match !verdict with
-  | Ready -> ()
-  | Timed_out -> raise Net.Timeout
-  | Bad e -> raise e
-
-(* Blocking pools park in [poll(2)] itself ({!Io.poll_single} — select
-   would cap descriptor numbers at FD_SETSIZE, far below the serving
-   layer's connection counts); the deadline becomes its timeout, so a
+(* Blocking pools park in [poll(2)] itself ({!Io.poll_single}, no
+   FD_SETSIZE ceiling); the deadline becomes its timeout, so a
    dead peer still cannot hold a worker forever.  poll's millisecond
    granularity rounds the timeout {e up}: a deadline may be overshot by
    up to 1 ms but never fires early with the fd unready. *)
@@ -122,43 +79,30 @@ let wait_blocking kind fd ~deadline =
   in
   go ()
 
-let wait t kind fd ~deadline =
-  match t.mode with
-  | Fibers { io; timer } -> wait_fibers io timer kind fd ~deadline
-  | Blocking -> wait_blocking kind fd ~deadline
-
-let wait_readable t ?deadline fd = wait t `Readable fd ~deadline
-let wait_writable t ?deadline fd = wait t `Writable fd ~deadline
-
 (* --- the submission/completion operation driver --- *)
 
-(* Fiber mode, batched: try [exec] inline once (eager completion — most
-   loopback operations succeed immediately and never touch the reactor);
-   on would-block, submit an intent whose pump-side [run] re-issues
-   [exec] directly when the fd turns ready, stashing the result, so the
-   fiber wakes with its operation already done.  Fiber mode, legacy:
-   identical eager attempt, but readiness only wakes the fiber, which
-   loops back and re-issues [exec] itself — the pre-batching shape.
-   Both race the park against [deadline] through {!Io.cancel}.
+(* Fiber mode: try [exec] inline once (eager completion — most loopback
+   operations succeed immediately and never touch the reactor); on
+   would-block, submit an intent whose pump-side [run] re-issues [exec]
+   directly when the fd turns ready, stashing the result, so the fiber
+   wakes with its operation already done.  The park races [deadline]
+   through {!Io.cancel}: both the Io completion and the timer callback
+   funnel through the reactor's intent-state mutex, so exactly one of
+   them resumes the fiber, exactly once.
 
    Exceptions from [exec] other than EAGAIN/EINTR — kernel errors and
    injected faults alike, whether raised inline or in the pump — re-raise
    in the calling fiber, so call-site handlers see exactly what a plain
    syscall would have thrown. *)
-let run_io_fibers io timer kind fd ~deadline ~eager ~exec =
+type verdict = Ready | Timed_out | Bad of exn
+
+let run_io_fibers io timer kind fd ~deadline ~exec =
   let ikind = match kind with `Readable -> `R | `Writable -> `W in
   let counted () =
     Io.count_syscall io;
     exec ()
   in
-  let rec attempt ~eager =
-    if not eager then park ()
-    else
-      match counted () with
-      | v -> v
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> attempt ~eager:true
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> park ()
-  and park () =
+  let park () =
     let res = ref None in
     let verdict = ref Ready in
     let th = ref None in
@@ -190,18 +134,24 @@ let run_io_fibers io timer kind fd ~deadline ~eager ~exec =
                        verdict := Timed_out;
                        resume ()
                      end)));
+    (* Withdraw the deadline entry when the I/O side won, so waits with
+       long timeouts don't pile dead closures into the timer heap.
+       Harmless if the timer fired (it removed itself) or is firing (its
+       [Io.cancel] lost the race and does nothing). *)
     (match !th with None -> () | Some h -> Timer.cancel timer h);
     match !verdict with
-    | Ready -> (
-        match !res with
-        | Some v -> v
-        (* Legacy mode (readiness-only wake), or nothing stashed: the
-           fiber re-issues the operation itself. *)
-        | None -> attempt ~eager:true)
+    (* [Complete] only follows a [`Done] run, which stashed the result. *)
+    | Ready -> Option.get !res
     | Timed_out -> raise Net.Timeout
     | Bad e -> raise e
   in
-  attempt ~eager
+  let rec attempt () =
+    match counted () with
+    | v -> v
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> attempt ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> park ()
+  in
+  attempt ()
 
 (* Blocking mode keeps the pre-change shape: enforce the deadline up
    front by waiting with a timeout (a blocking op cannot be interrupted
@@ -218,9 +168,9 @@ let run_io_blocking kind fd ~deadline ~exec =
   if deadline <> None then wait_blocking kind fd ~deadline;
   go ()
 
-let run_io t ?deadline ?(eager = true) kind fd ~exec =
+let run_io t ?deadline kind fd ~exec =
   match t.mode with
-  | Fibers { io; timer } -> run_io_fibers io timer kind fd ~deadline ~eager ~exec
+  | Fibers { io; timer } -> run_io_fibers io timer kind fd ~deadline ~exec
   | Blocking -> run_io_blocking kind fd ~deadline ~exec
 
 (* Expose the reactor's I/O counter for benches that want syscalls/op

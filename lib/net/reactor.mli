@@ -18,7 +18,6 @@ val fibers :
     unit) ->
   ?fault:Fault.t ->
   ?watchdog:Lhws_runtime.Watchdog.t ->
-  ?legacy:bool ->
   unit ->
   t
 (** Builds a fiber-mode reactor: a fresh {!Lhws_runtime.Io.t} plus a
@@ -34,22 +33,17 @@ val fibers :
     {!Lhws_runtime.Io.t} is attached to it, so lost wakeups and stale
     fd registrations fail loudly (see {!Lhws_runtime.Watchdog}).  Pair
     with the pool-side [register_watchdog] for heartbeat coverage and
-    stats/tracing integration.  [legacy:true] selects the pre-batching
-    wait-then-retry reactor (readiness wakes the fiber, which reissues
-    its own syscall; no pump-side execution, no paced readiness pass) —
-    the comparison leg of the NET3 bench. *)
+    stats/tracing integration. *)
 
 val blocking : ?fault:Fault.t -> unit -> t
-(** Blocking mode: waits are [select] calls with the deadline as
-    timeout, reads/writes plain syscalls.  For the WS and thread pools. *)
+(** Blocking mode: waits are {!Lhws_runtime.Io.poll_single} calls
+    with the deadline as timeout, reads/writes plain syscalls.  For the
+    WS and thread pools. *)
 
 val is_fibers : t -> bool
-
-val is_batched : t -> bool
-(** Fiber mode with the batched submission/completion path active
-    (i.e. not [legacy], not blocking).  Upper layers use this to enable
-    optimizations that only pay off with batching, such as {!Rpc}'s
-    frame-coalescing writes. *)
+(** Fiber mode, i.e. operations go through the submission/completion
+    reactor.  Upper layers use this to enable optimizations that only
+    pay off there, such as {!Rpc}'s frame-coalescing writes. *)
 
 val fault : t -> Fault.t option
 (** The attached fault plane, if any. *)
@@ -59,18 +53,9 @@ val sleep : t -> float -> unit
     the reactor's deadline timer); plain [Unix.sleepf] in blocking mode.
     Used for injected latency and retry backoff. *)
 
-val wait_readable : t -> ?deadline:float -> Unix.file_descr -> unit
-(** Waits until the descriptor is readable.  [deadline] is absolute
-    ([Unix.gettimeofday] seconds).
-    @raise Net.Timeout when the deadline passes first.
-    @raise Unix.Unix_error when the descriptor turns bad while parked. *)
-
-val wait_writable : t -> ?deadline:float -> Unix.file_descr -> unit
-
 val run_io :
   t ->
   ?deadline:float ->
-  ?eager:bool ->
   [ `Readable | `Writable ] ->
   Unix.file_descr ->
   exec:(unit -> 'a) ->
@@ -79,10 +64,10 @@ val run_io :
     the operation and may raise [EAGAIN]/[EWOULDBLOCK] (would block —
     retried through the reactor) or [EINTR] (retried immediately).
 
-    Fiber mode: [exec] runs inline once first (eager completion; skip
-    with [eager:false]); if it would block, an intent is submitted and
-    the pump re-issues [exec] the moment the descriptor turns ready, so
-    the fiber resumes with the result already produced.  Every [exec]
+    Fiber mode: [exec] runs inline once first (eager completion); if it
+    would block, an intent is submitted and the pump re-issues [exec]
+    the moment the descriptor turns ready, so the fiber resumes with
+    the result already produced.  Every [exec]
     invocation is counted in the reactor's [io_syscalls].  Blocking
     mode: waits with the deadline as timeout, then loops the syscall.
 

@@ -34,7 +34,7 @@ let with_wlock l f =
 
 (* --- the combining outbox ---
 
-   On a batched reactor, frame atomicity comes from a combining queue
+   On a fiber reactor, frame atomicity comes from a combining queue
    instead of serialized whole-frame writes: a writer pushes its frame
    (an iov, no copy) onto a Treiber stack and whichever writer claims
    the lock flushes {e everything} queued as a single [Conn.writev_all]
@@ -83,11 +83,10 @@ let send_combined ob conn iov =
   in
   resolve ()
 
-(* One frame write, atomic on the wire.  Batched reactor: through the
-   combining outbox.  Legacy/blocking reactor: the pre-batching shape —
-   hold the lock for the whole (still vectored, still copy-free) frame
-   write — so the NET3 comparison leg measures the old syscall
-   behaviour. *)
+(* One frame write, atomic on the wire.  Fiber reactor: through the
+   combining outbox.  Blocking reactor: hold the lock for the whole
+   (still vectored, still copy-free) frame write — the blocking pools'
+   only write path. *)
 let write_frame ob conn iov =
   if Conn.batched conn then send_combined ob conn iov
   else with_wlock ob.wl (fun () -> Conn.writev_all conn iov)

@@ -1,31 +1,31 @@
 (* Submission/completion reactor.
 
-   Fibers no longer talk to the readiness backend directly: they enqueue
-   *intents* (fd, direction, an optional kernel operation to run once
-   the fd is ready, and a completion callback) into per-worker lock-free
-   submission rings.  The CAS-elected pump worker drains every ring,
-   registers the drained intents in its waiter table, issues one batched
-   readiness pass over the incrementally-maintained fd sets, executes
-   the ready operations directly, and delivers completions through the
-   callbacks — which ride the pools' existing Treiber-stack MPSC resume
-   channels back to each fiber's home deque.
+   Fibers do not talk to poll(2) directly: they enqueue *intents* (fd,
+   direction, an optional kernel operation to run once the fd is ready,
+   and a completion callback) into per-worker lock-free submission
+   rings.  The CAS-elected pump worker drains every ring, registers the
+   drained intents in its waiter table, issues one batched poll(2) pass
+   over an incrementally maintained pollfd mirror, executes the ready
+   operations directly, and delivers completions through the callbacks
+   — which ride the pools' existing Treiber-stack MPSC resume channels
+   back to each fiber's home deque.
 
-   Exactly-once resumption survives the restructure.  An intent moves
-   through three states under [t.mu]: [Armed] (submitted or re-armed,
-   claimable), [Claimed] (the pump owns it and is running its op) and
-   [Done] (its outcome is decided).  The three competitors — readiness,
-   an fd error discovered during the readiness pass, and external
-   cancellation (deadline timers, through {!cancel}) — each claim by
-   flipping [Armed -> Done/Claimed] under the mutex.  The one subtle
-   window: a cancel that arrives while the pump holds the intent
-   [Claimed] cannot revoke the claim, so it records [cancel_requested]
-   and returns [false]; if the pump's op then comes back would-block
-   (which would normally re-arm the intent), the pump sees the flag and
-   delivers a [Cancelled] completion instead of parking the fiber past
-   its deadline.
+   Exactly-once resumption: an intent moves through three states under
+   [t.mu]: [Armed] (submitted or re-armed, claimable), [Claimed] (the
+   pump owns it and is running its op) and [Done] (its outcome is
+   decided).  The three competitors — readiness (a closed fd counts:
+   poll reports it POLLNVAL and the op's own syscall raises), the stall
+   sweep, and external cancellation (deadline timers, through {!cancel})
+   — each claim by flipping [Armed -> Done/Claimed] under the mutex.
+   The one subtle window: a cancel that arrives while the pump holds the
+   intent [Claimed] cannot revoke the claim, so it records
+   [cancel_requested] and returns [false]; if the pump's op then comes
+   back would-block (which would normally re-arm the intent), the pump
+   sees the flag and delivers a [Cancelled] completion instead of
+   parking the fiber past its deadline.
 
-   Submission takes no lock (one CAS on a ring plus two atomic bumps);
-   the mutex now serializes only the pump, cancellation and the error
+   Submission takes no lock (one CAS on a ring plus an atomic bump);
+   the mutex serializes only the pump, cancellation and the stall
    sweep. *)
 
 (* What finally happened to an intent.  [Cancelled] is only delivered
@@ -59,44 +59,6 @@ type intent = {
          connections are not probed on every sweep. *)
 }
 
-type waiter = intent
-
-(* The readiness backend seam.  [select] today; an epoll or io_uring
-   backend slots in by implementing the same contract: [add]/[remove]
-   maintain interest incrementally (satisfying the no-rebuild-per-poll
-   requirement by construction), [wait] performs one batched readiness
-   pass with zero timeout and may raise [Unix.Unix_error] ([EBADF] /
-   [EINVAL]) when the registered set is rejected wholesale — the pump
-   answers with a per-fd probe sweep. *)
-module type BACKEND = sig
-  type t
-
-  val name : string
-
-  val create : unit -> t
-  val add : t -> [ `R | `W ] -> Unix.file_descr -> unit
-  (** Called once when the first waiter for (fd, direction) registers. *)
-
-  val remove : t -> [ `R | `W ] -> Unix.file_descr -> unit
-  (** Called once when the last waiter for (fd, direction) leaves. *)
-
-  val armed : t -> bool
-  (** Whether any interest is registered at all. *)
-
-  val size : t -> int
-  (** Number of distinct descriptors registered — the cost driver of one
-      batched pass, which the pump's pacing scales with. *)
-
-  val wait : t -> Unix.file_descr list * Unix.file_descr list
-  (** One batched readiness pass (ready-to-read, ready-to-write). *)
-
-  val probe : [ `R | `W ] -> Unix.file_descr -> exn option
-  (** One fd tested in isolation, with this backend's own mechanism
-      (the sweep must agree with [wait] about which descriptors the
-      backend can express at all): [Some exn] when the descriptor would
-      poison a batched pass, [None] when it is merely not ready. *)
-end
-
 (* --- poll(2) stubs (see poll_stubs.c) ---
 
    [poll_raw] drives parallel int arrays: interest bit 1 = readable,
@@ -111,9 +73,9 @@ external raise_nofile_raw : int -> int = "lhws_raise_nofile_stub"
 let raise_nofile want = raise_nofile_raw want
 
 (* One descriptor, one direction, a millisecond timeout (-1 = forever):
-   the single-fd wait used by blocking-mode reactors, with none of
-   select's FD_SETSIZE ceiling.  [`Ready] covers error/hang-up too —
-   the caller's own syscall surfaces whatever is wrong with the fd. *)
+   the single-fd wait used by blocking-mode reactors and by the stall
+   sweep's probe.  [`Ready] covers error/hang-up too — the caller's own
+   syscall surfaces whatever is wrong with the fd. *)
 let poll_single kind fd ~timeout_ms =
   let fds = [| fd |] in
   let events = [| (match kind with `R -> 1 | `W -> 2) |] in
@@ -126,57 +88,20 @@ let poll_single kind fd ~timeout_ms =
         raise (Unix.Unix_error (Unix.EBADF, "poll", ""))
       else `Ready
 
-module Select_backend : BACKEND = struct
-  (* Interest lists maintained incrementally on register/unregister —
-     the old reactor rebuilt both lists from the waiter tables on every
-     poll.  Removal is O(interest-set size), but removals happen once
-     per fd transition while polls happen once per pump iteration, so
-     the trade is the right way around. *)
-  type t = {
-    mutable rfds : Unix.file_descr list;
-    mutable wfds : Unix.file_descr list;
-  }
+(* A zero-timeout probe of one fd: [Some exn] when it is not open. *)
+let probe kind fd =
+  match poll_single kind fd ~timeout_ms:0 with
+  | `Ready | `Timeout | `Interrupted -> None
+  | exception (Unix.Unix_error _ as e) -> Some e
 
-  let create () = { rfds = []; wfds = [] }
-
-  let add t kind fd =
-    match kind with
-    | `R -> t.rfds <- fd :: t.rfds
-    | `W -> t.wfds <- fd :: t.wfds
-
-  let remove t kind fd =
-    match kind with
-    | `R -> t.rfds <- List.filter (fun fd' -> fd' <> fd) t.rfds
-    | `W -> t.wfds <- List.filter (fun fd' -> fd' <> fd) t.wfds
-
-  let armed t = t.rfds <> [] || t.wfds <> []
-  let size t = List.length t.rfds + List.length t.wfds
-
-  let wait t =
-    match Unix.select t.rfds t.wfds [] 0. with
-    | r, w, _ -> (r, w)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-
-  let name = "select"
-
-  (* A select probe, so an fd select cannot express (>= FD_SETSIZE)
-     stays an error under this backend instead of livelocking the
-     sweep: a poll-based probe would pass it, it would stay registered,
-     and every subsequent batched pass would reject the set again. *)
-  let probe kind fd =
-    let r, w = match kind with `W -> ([], [ fd ]) | `R -> ([ fd ], []) in
-    match Unix.select r w [] 0. with
-    | _ -> None
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-    | exception (Unix.Unix_error _ as e) -> Some e
-end
-
-module Poll_backend : BACKEND = struct
+module Pollset = struct
   (* Incrementally maintained pollfd mirror: parallel growable arrays
      plus an fd -> slot index, so [add]/[remove] are O(1) (remove swaps
      the last entry down) and [wait] hands the arrays to poll(2) as-is.
-     Both directions of one fd share a slot; interest is the bit mask
-     the stub expects (1 = R, 2 = W). *)
+     [add] runs once when the first waiter for (fd, direction) registers
+     and [remove] once when the last one leaves — never per pass.  Both
+     directions of one fd share a slot; interest is the bit mask the
+     stub expects (1 = R, 2 = W). *)
   type t = {
     mutable fds : Unix.file_descr array;
     mutable events : int array;
@@ -184,8 +109,6 @@ module Poll_backend : BACKEND = struct
     mutable n : int;
     index : (Unix.file_descr, int) Hashtbl.t;
   }
-
-  let name = "poll"
 
   let create () =
     {
@@ -237,13 +160,11 @@ module Poll_backend : BACKEND = struct
           t.n <- last
         end
 
-  let armed t = t.n > 0
-  let size t = t.n
-
-  (* POLLNVAL entries are reported ready for whatever direction they
-     registered: the pump then runs (or wakes) their operations, whose
-     own syscall raises EBADF — the same loud-failure contract as the
-     probe sweep, without a second syscall to find the culprit. *)
+  (* One zero-timeout pass: (ready-to-read, ready-to-write).  POLLNVAL
+     entries are reported ready for whatever direction they registered:
+     the pump then runs (or wakes) their operations, whose own syscall
+     raises EBADF — a parked fiber on a closed fd fails loudly without a
+     second syscall to find the culprit. *)
   let wait t =
     match poll_raw t.fds t.events t.revents t.n 0 with
     | 0 | -1 -> ([], [])
@@ -261,39 +182,24 @@ module Poll_backend : BACKEND = struct
           end
         done;
         (!r, !w)
-
-  let probe kind fd =
-    match poll_single kind fd ~timeout_ms:0 with
-    | `Ready | `Timeout | `Interrupted -> None
-    | exception (Unix.Unix_error _ as e) -> Some e
 end
 
-(* The active backend, chosen once per reactor: poll by default (no
-   descriptor ceiling — the c10k serving legs depend on it), select
-   when LHWS_BACKEND=select asks for the comparison baseline. *)
-type backend = B : (module BACKEND with type t = 'b) * 'b -> backend
+type waiters = (Unix.file_descr, intent list ref) Hashtbl.t
 
-let make_backend () =
-  match Sys.getenv_opt "LHWS_BACKEND" with
-  | Some "select" -> B ((module Select_backend), Select_backend.create ())
-  | _ -> B ((module Poll_backend), Poll_backend.create ())
-
-type waiters = (Unix.file_descr, waiter list ref) Hashtbl.t
-
-(* Keep readiness-pass frequency amortized in batched mode: the pass is
-   paced by wall clock, and the interval grows with the registered-set
-   size.  Time-based pacing is sound because eager completion already
-   ran every operation once before it parked — a parked fd only becomes
+(* Keep readiness-pass frequency amortized: the pass is paced by wall
+   clock, and the interval grows with the registered-set size.
+   Time-based pacing is sound because eager completion already ran
+   every operation once before it parked — a parked fd only becomes
    ready when the peer acts, so there is never a correctness reason to
    re-poll immediately on submission; worst case a readiness edge is
    detected one interval late.  The size scaling is what makes c10k
    serving work: poll(2) walks every registered fd, so with 10k parked
    connections one pass costs hundreds of microseconds, and re-passing
-   every 50 us (the old fixed interval, fired on every submission under
-   load) burns the whole core in the kernel.  At 0.2 us per registered
-   fd the steady-state polling duty cycle stays bounded regardless of
-   scale, while small interest sets keep the 50 us floor. *)
-let select_pacing_s = 0.00005
+   every 50 us (fired on every submission under load) burns the whole
+   core in the kernel.  At 0.2 us per registered fd the steady-state
+   polling duty cycle stays bounded regardless of scale, while small
+   interest sets keep the 50 us floor. *)
+let pacing_floor_s = 0.00005
 let per_fd_pacing_s = 2e-7
 
 let ring_count = 8 (* power of two; rings are indexed by domain id *)
@@ -302,49 +208,45 @@ type t = {
   mu : Mutex.t;
   readers : waiters;
   writers : waiters;
-  backend : backend;
+  pollset : Pollset.t;
   rings : intent list Atomic.t array;  (* per-worker submission rings *)
   npending : int Atomic.t;  (* intents submitted, not yet decided *)
   syscalls : int Atomic.t;  (* kernel I/O calls made through this reactor *)
   mutable last_pass : float;  (* pump-only: when the last readiness pass ran *)
-  legacy : bool;
   (* Test-only mutation hook: drop every [drop_every]-th completion on
      the floor (the fiber stays parked forever).  Exists so the chaos
      suite can prove it *detects* a lost completion — see
      [test/test_reactor.ml] — and is never set in production paths. *)
   drop_every : int Atomic.t;
   drop_tick : int Atomic.t;
-  (* Census of every live intent, consed lock-free at submission and
-     pruned of decided intents by the stall sweep.  Lets a watchdog ask
-     two questions the waiter tables cannot answer: how old is the
-     oldest parked fiber, and is any [Armed] intent tracked nowhere? *)
+  (* Census of live intents, consed lock-free at submission and pruned
+     of decided intents by the stall sweep.  Lets a watchdog ask two
+     questions the waiter tables cannot answer: how old is the oldest
+     parked fiber, and is any [Armed] intent tracked nowhere?  Only
+     populated once {!start_census} has run: the sweep is its sole
+     pruner, so without a watchdog it would retain every intent ever
+     parked. *)
+  census_on : bool Atomic.t;
   tracked : intent list Atomic.t;
 }
 
-let create ?(legacy = false) () =
+let create () =
   {
     mu = Mutex.create ();
     readers = Hashtbl.create 16;
     writers = Hashtbl.create 16;
-    backend = make_backend ();
+    pollset = Pollset.create ();
     rings = Array.init ring_count (fun _ -> Atomic.make []);
     npending = Atomic.make 0;
     syscalls = Atomic.make 0;
     last_pass = 0.;
-    legacy;
     drop_every = Atomic.make 0;
     drop_tick = Atomic.make 0;
+    census_on = Atomic.make false;
     tracked = Atomic.make [];
   }
 
-let is_legacy t = t.legacy
-let backend_name t = match t.backend with B ((module B), _) -> B.name
-let bk_add t kind fd = match t.backend with B ((module B), b) -> B.add b kind fd
-let bk_remove t kind fd = match t.backend with B ((module B), b) -> B.remove b kind fd
-let bk_armed t = match t.backend with B ((module B), b) -> B.armed b
-let bk_size t = match t.backend with B ((module B), b) -> B.size b
-let bk_wait t = match t.backend with B ((module B), b) -> B.wait b
-let bk_probe t kind fd = match t.backend with B ((module B), _) -> B.probe kind fd
+let start_census t = Atomic.set t.census_on true
 let syscalls t = Atomic.get t.syscalls
 let count_syscall t = Atomic.incr t.syscalls
 let pending t = Atomic.get t.npending
@@ -361,7 +263,7 @@ let register_locked t w =
   | Some l -> l := w :: !l
   | None ->
       Hashtbl.add tbl w.ifd (ref [ w ]);
-      bk_add t w.ikind w.ifd
+      Pollset.add t.pollset w.ikind w.ifd
 
 (* Detach every armed waiter on [fd], marking them [Claimed]: the caller
    (the pump) owns them and must decide each one.  Owner of [t.mu]. *)
@@ -377,7 +279,7 @@ let take_all_locked t kind fd =
           w.iregistered <- false)
         ws;
       Hashtbl.remove tbl fd;
-      bk_remove t kind fd;
+      Pollset.remove t.pollset kind fd;
       ws
 
 (* --- submission: the lock-free fiber-side entry point --- *)
@@ -402,21 +304,12 @@ let submit t ~kind ~fd ~run notify =
     }
   in
   Atomic.incr t.npending;
-  ring_push t.tracked w;
+  if Atomic.get t.census_on then ring_push t.tracked w;
   let slot = (Domain.self () :> int) land (ring_count - 1) in
   ring_push t.rings.(slot) w;
   w
 
 let submit_wait t ~kind ~fd notify = submit t ~kind ~fd ~run:(fun () -> `Done) notify
-
-(* Compatibility shims for the (exn option -> unit) callback layer. *)
-let wrap_notify f = function
-  | Complete -> f None
-  | Error e -> f (Some e)
-  | Cancelled -> f None (* unreachable: nothing cancels these externally *)
-
-let add_readable t fd notify = submit_wait t ~kind:`R ~fd (wrap_notify notify)
-let add_writable t fd notify = submit_wait t ~kind:`W ~fd (wrap_notify notify)
 
 (* Remove one intent from the waiter table (it may not be there — e.g.
    still in a submission ring).  Owner of [t.mu]. *)
@@ -429,7 +322,7 @@ let detach_locked t w =
       match List.filter (fun w' -> w' != w) !l with
       | [] ->
           Hashtbl.remove tbl w.ifd;
-          bk_remove t w.ikind w.ifd
+          Pollset.remove t.pollset w.ikind w.ifd
       | rest -> l := rest)
 
 let cancel t w =
@@ -485,33 +378,26 @@ let deliver t w outcome =
    re-arms the intent (no completion, the fiber stays parked) unless a
    cancel arrived while we held the claim. *)
 let execute t w =
-  if t.legacy then begin
-    (* Legacy mode reproduces the wait-then-retry reactor: readiness
-       just wakes the fiber, which reissues the kernel op itself. *)
-    deliver t w Complete;
-    1
-  end
-  else
-    match w.run () with
-    | `Done ->
-        deliver t w Complete;
+  match w.run () with
+  | `Done ->
+      deliver t w Complete;
+      1
+  | `Again ->
+      Mutex.lock t.mu;
+      if w.cancel_requested then begin
+        Mutex.unlock t.mu;
+        deliver t w Cancelled;
         1
-    | `Again ->
-        Mutex.lock t.mu;
-        if w.cancel_requested then begin
-          Mutex.unlock t.mu;
-          deliver t w Cancelled;
-          1
-        end
-        else begin
-          w.istate <- Armed;
-          register_locked t w;
-          Mutex.unlock t.mu;
-          0
-        end
-    | exception e ->
-        deliver t w (Error e);
-        1
+      end
+      else begin
+        w.istate <- Armed;
+        register_locked t w;
+        Mutex.unlock t.mu;
+        0
+      end
+  | exception e ->
+      deliver t w (Error e);
+      1
 
 (* --- the pump --- *)
 
@@ -524,38 +410,6 @@ let drain_rings_locked t =
           (Atomic.exchange r []))
     t.rings
 
-(* A descriptor the backend rejects wholesale (closed under a parked
-   fiber -> EBADF, or beyond FD_SETSIZE -> EINVAL) poisons the whole
-   readiness pass without naming itself.  Probe each registered fd
-   alone: the ones that still fail get their waiters completed with the
-   exception — a parked fiber must fail loudly, never park forever. *)
-let sweep_bad t =
-  Mutex.lock t.mu;
-  let rfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.readers [] in
-  let wfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.writers [] in
-  Mutex.unlock t.mu;
-  let probe kind fds =
-    List.filter_map
-      (fun fd ->
-        count_syscall t;
-        match bk_probe t kind fd with None -> None | Some e -> Some (fd, e))
-      fds
-  in
-  let bad_r = probe `R rfds in
-  let bad_w = probe `W wfds in
-  Mutex.lock t.mu;
-  let victims =
-    List.concat_map
-      (fun (fd, e) -> List.map (fun w -> (w, e)) (take_all_locked t `R fd))
-      bad_r
-    @ List.concat_map
-        (fun (fd, e) -> List.map (fun w -> (w, e)) (take_all_locked t `W fd))
-        bad_w
-  in
-  Mutex.unlock t.mu;
-  List.iter (fun (w, e) -> deliver t w (Error e)) victims;
-  List.length victims
-
 let poll t =
   (* 1. Drain the submission rings into the registration table. *)
   let fresh = Array.exists (fun r -> Atomic.get r != []) t.rings in
@@ -564,22 +418,22 @@ let poll t =
     drain_rings_locked t;
     Mutex.unlock t.mu
   end;
-  if Atomic.get t.npending = 0 || not (bk_armed t) then 0
+  if Atomic.get t.npending = 0 || t.pollset.n = 0 then 0
   else begin
     (* 2. One batched readiness pass — paced by wall clock and scaled by
        the registered-set size, so neither an idle-spinning pump nor a
        saturated one burns a full-set walk per loop iteration. *)
     let now = Unix.gettimeofday () in
     let interval =
-      select_pacing_s +. (float_of_int (bk_size t) *. per_fd_pacing_s)
+      pacing_floor_s +. (float_of_int t.pollset.n *. per_fd_pacing_s)
     in
-    if (not t.legacy) && now -. t.last_pass < interval then 0
+    if now -. t.last_pass < interval then 0
     else begin
       t.last_pass <- now;
       count_syscall t;
-      match bk_wait t with
+      match Pollset.wait t.pollset with
       | [], [] -> 0
-      | ready_r, ready_w -> (
+      | ready_r, ready_w ->
           Mutex.lock t.mu;
           let ws =
             List.concat_map (take_all_locked t `R) ready_r
@@ -588,8 +442,7 @@ let poll t =
           Mutex.unlock t.mu;
           (* 3. Execute the ready operations right here and deliver the
              completions; re-armed intents go back without a wake-up. *)
-          List.fold_left (fun acc w -> acc + execute t w) 0 ws)
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> sweep_bad t
+          List.fold_left (fun acc w -> acc + execute t w) 0 ws
     end
   end
 
@@ -610,17 +463,17 @@ let oldest_parked_ms t =
      submission ring (the rings are drained first, so "unregistered"
      is conclusive).  Nothing will ever complete such an intent — the
      exact state the [chaos_drop_completions] hook manufactures, and
-     what a completion-dropping backend bug would leave behind.  With
+     what a completion-dropping reactor bug would leave behind.  With
      [fail = Some mk] the fiber is completed loudly with [Error (mk
      msg)] through the chaos-immune direct path; with [fail = None] it
      is counted once and left parked (warn mode).
 
-   - {e stale registration}: [Armed], registered, but the backend's
-     probe rejects the fd.  The batched pass protects against this for
-     select (wholesale EBADF -> [sweep_bad]) and poll (POLLNVAL reported
-     ready), but an epoll-style backend silently forgets closed fds —
-     this age-gated probe keeps the parked-fiber-fails-loudly invariant
-     backend-independent.  Always delivered (the real [Unix_error]),
+   - {e stale registration}: [Armed], registered, but a zero-timeout
+     probe finds the fd closed.  The batched pass already reports such
+     an fd ready (POLLNVAL), so this age-gated probe is the backstop
+     that keeps the parked-fiber-fails-loudly invariant if a pass ever
+     misses it — and the one an epoll-style wait, which silently forgets
+     closed fds, would rely on.  Always delivered (the real [Unix_error]),
      whatever [fail] says: a bad descriptor is an error, not a warning.
      Probes cost one syscall per intent, so each intent is probed at
      most once per [probe_every] — without that gate, every idle
@@ -694,7 +547,7 @@ let sweep_stalled t ~grace ?probe_every ~fail () =
   List.iter
     (fun w ->
       count_syscall t;
-      match bk_probe t w.ikind w.ifd with
+      match probe w.ikind w.ifd with
       | None -> keep := w :: !keep
       | Some e ->
           Mutex.lock t.mu;
@@ -716,21 +569,6 @@ let sweep_stalled t ~grace ?probe_every ~fail () =
     !stale;
   List.iter (fun w -> ring_push t.tracked w) !keep;
   failed_orphans + !warned + !stale_failures
-
-let wait_on t kind fd =
-  let err = ref None in
-  Fiber.suspend (fun resume ->
-      ignore
-        (submit_wait t ~kind ~fd (function
-          | Complete | Cancelled -> resume ()
-          | Error e ->
-              err := Some e;
-              resume ())
-          : waiter));
-  match !err with Some e -> raise e | None -> ()
-
-let wait_readable t fd = wait_on t `R fd
-let wait_writable t fd = wait_on t `W fd
 
 (* --- vectored I/O shim ---
 
@@ -803,20 +641,32 @@ module Iov = struct
         n
 end
 
-(* --- blocking helpers over the wait surface ---
+(* --- blocking helpers over fiber waits ---
 
    Wait-first on purpose: these serve descriptors that may still be in
    blocking mode (tests, pipes), where an eager kernel call could hold
    the worker.  The eager-completion fast path lives in
-   [Reactor.run_io], which only sees non-blocking descriptors. *)
+   [Reactor.run_io], which only sees non-blocking descriptors.  A
+   descriptor closed under the parked fiber comes back ready (POLLNVAL),
+   so the syscall below raises its EBADF in the fiber. *)
+
+let wait_on t kind fd =
+  let err = ref None in
+  Fiber.suspend (fun resume ->
+      ignore
+        (submit_wait t ~kind ~fd (fun o ->
+             (match o with Error e -> err := Some e | Complete | Cancelled -> ());
+             resume ())
+          : intent));
+  Option.iter raise !err
 
 let read t fd buf pos len =
-  wait_readable t fd;
+  wait_on t `R fd;
   count_syscall t;
   Unix.read fd buf pos len
 
 let write t fd buf pos len =
-  wait_writable t fd;
+  wait_on t `W fd;
   count_syscall t;
   Unix.write fd buf pos len
 

@@ -5,78 +5,33 @@
     operation, a completion callback) — into per-worker lock-free
     submission rings.  The worker that wins the pool's pump election
     drains the rings, registers the intents against an incrementally
-    maintained interest set, issues {e one} batched readiness pass per
-    pump (see {!BACKEND}; [select] today), executes the ready
-    operations directly, and delivers completions through the
-    callbacks, which resume fibers over the pools' existing MPSC
-    resume channels.  Register {!poll} with
-    {!Lhws_pool.register_poller} — exactly the polling implementation
-    of resume callbacks sketched in Section 6 of the paper.
+    maintained [poll(2)] interest set (no descriptor ceiling, which the
+    10k-connection HTTP serving legs require), issues {e one} batched
+    readiness pass per pump, executes the ready operations directly,
+    and delivers completions through the callbacks, which resume fibers
+    over the pools' existing MPSC resume channels.  Register {!poll}
+    with {!Lhws_pool.register_poller} — exactly the polling
+    implementation of resume callbacks sketched in Section 6 of the
+    paper.
 
     All waits must happen on fibers of a suspension-capable pool.  The
     blocking baseline simply issues blocking reads/writes instead —
     that is the comparison the paper draws.
 
-    Descriptor errors are surfaced, never swallowed: when the backend
-    rejects the registered set (a waiter's fd was closed — [EBADF] — or
-    exceeds [FD_SETSIZE] — [EINVAL]), {!poll} probes each fd in
-    isolation and completes the offending fds' intents with the
-    [Unix.Unix_error]; the blocking-wait entry points re-raise it in
-    the parked fiber. *)
+    Descriptor errors are surfaced, never swallowed: a descriptor closed
+    under a parked fiber comes back from the readiness pass as
+    [POLLNVAL], is treated as ready, and the operation's own syscall
+    raises [EBADF] in the parked fiber. *)
 
 type t
 
-val create : ?legacy:bool -> unit -> t
-(** [legacy:true] reproduces the pre-batching reactor for comparison
-    benchmarks: readiness wakes the fiber instead of executing its
-    operation in the pump, and the readiness pass is never paced.
-    Default is the batched behaviour. *)
+val create : unit -> t
 
-val is_legacy : t -> bool
-
-(** {1 The backend seam}
-
-    The readiness mechanism behind {!poll}, kept behind a signature so
-    an [epoll] or [io_uring] backend can slot in without touching the
-    intent machinery: implement interest registration ([add]/[remove],
-    called once per (fd, direction) transition — never per poll) and one
-    batched zero-timeout readiness pass ([wait]).
-
-    Two implementations exist.  The default is a [poll(2)] C stub with
-    an incrementally maintained pollfd mirror — no descriptor ceiling,
-    which the 10k-connection HTTP serving legs require.  [select]
-    remains available as a comparison baseline via [LHWS_BACKEND=select]
-    in the environment; it caps descriptor {e numbers} at [FD_SETSIZE]
-    (1024). *)
-
-module type BACKEND = sig
-  type t
-
-  val name : string
-
-  val create : unit -> t
-
-  val add : t -> [ `R | `W ] -> Unix.file_descr -> unit
-  val remove : t -> [ `R | `W ] -> Unix.file_descr -> unit
-  val armed : t -> bool
-
-  val size : t -> int
-  (** Distinct descriptors registered: one batched pass walks this many
-      entries, so the pump paces its passes proportionally. *)
-
-  val wait : t -> Unix.file_descr list * Unix.file_descr list
-  (** May raise [Unix.Unix_error (EBADF | EINVAL, _, _)] to reject the
-      whole set; {!poll} recovers with a per-fd probe sweep. *)
-
-  val probe : [ `R | `W ] -> Unix.file_descr -> exn option
-  (** Tests one fd with this backend's own mechanism — the recovery
-      sweep must agree with [wait] about which descriptors the backend
-      can express at all.  [Some exn] marks an fd that would poison a
-      batched pass; [None] means merely not ready. *)
-end
-
-val backend_name : t -> string
-(** ["poll"] or ["select"], for logging and bench records. *)
+val start_census : t -> unit
+(** From now on, record every submitted intent in the census that
+    {!sweep_stalled} and {!oldest_parked_ms} read.  Called by
+    {!Watchdog.attach_io}; the sweep is the census's only pruner, so a
+    reactor without a watchdog keeps no census at all. *)
 
 (** {1 Descriptor-scale helpers}
 
@@ -88,9 +43,9 @@ val poll_single :
   timeout_ms:int ->
   [ `Ready | `Timeout | `Interrupted ]
 (** One descriptor, one direction, a millisecond timeout ([-1] waits
-    forever) — the blocking-mode wait primitive, free of [select]'s
-    [FD_SETSIZE] ceiling so the threaded baselines can hold thousands
-    of connections too.  [`Ready] includes error/hang-up conditions
+    forever) — the blocking-mode wait primitive, with no [FD_SETSIZE]
+    ceiling, so the threaded baselines can hold thousands of
+    connections too.  [`Ready] includes error/hang-up conditions
     (the caller's next syscall surfaces the actual error);
     [`Interrupted] is [EINTR] (recompute the timeout and retry).
     @raise Unix.Unix_error [EBADF] when the descriptor is not open. *)
@@ -137,47 +92,25 @@ val cancel : t -> intent -> bool
     either the operation's outcome or [Cancelled] — exactly one of the
     two — so the caller can still lose the race it asked to win. *)
 
-(** {1 Blocking fiber waits} *)
-
-val wait_readable : t -> Unix.file_descr -> unit
-(** Suspends the calling fiber until the descriptor is readable.
-    @raise Unix.Unix_error if the descriptor turns bad while parked. *)
-
-val wait_writable : t -> Unix.file_descr -> unit
-(** Suspends the calling fiber until the descriptor is writable.
-    @raise Unix.Unix_error if the descriptor turns bad while parked. *)
+(** {1 Blocking fiber I/O} *)
 
 val read : t -> Unix.file_descr -> bytes -> int -> int -> int
 (** [read t fd buf pos len] waits for readability, then [Unix.read].
     Returns the number of bytes read (0 at end of file).  Wait-first
-    (no eager attempt): safe on descriptors still in blocking mode. *)
+    (no eager attempt): safe on descriptors still in blocking mode.
+    @raise Unix.Unix_error [EBADF] if the descriptor is closed while the
+    fiber is parked. *)
 
 val write : t -> Unix.file_descr -> bytes -> int -> int -> int
 (** Waits for writability, then [Unix.write]. *)
 
 val read_exactly : t -> Unix.file_descr -> bytes -> int -> unit
 (** Reads exactly [len] bytes into the buffer's prefix.
-    @raise End_of_file if the descriptor closes first. *)
+    @raise End_of_file if the descriptor closes first.
+    @raise Unix.Unix_error like {!read}. *)
 
 val write_all : t -> Unix.file_descr -> bytes -> unit
 (** Writes the whole buffer. *)
-
-(** {1 Cancellable waiter handles}
-
-    The [(exn option -> unit)] compatibility layer over {!submit}, for
-    callers that race a readiness wait against something else (deadline
-    timers in [lib/net]).  Exactly one of these happens to a registered
-    waiter: its callback fires with [None] (ready), fires with
-    [Some exn] (fd error), or {!cancel} returns [true]. *)
-
-type waiter = intent
-
-val add_readable : t -> Unix.file_descr -> (exn option -> unit) -> waiter
-(** Registers a callback to run once when the fd is readable ([None])
-    or found bad ([Some (Unix.Unix_error _)]).  The callback runs on
-    the pumping worker, outside the reactor lock. *)
-
-val add_writable : t -> Unix.file_descr -> (exn option -> unit) -> waiter
 
 (** {1 Vectored I/O}
 
@@ -209,15 +142,15 @@ val poll : t -> int
 (** The pump: drains the submission rings, issues at most one batched
     readiness pass, executes ready operations and delivers their
     completions; returns how many completions were delivered (including
-    intents failed with a descriptor error).  Thread-safe; call from
-    worker loops. *)
+    operations that raised, e.g. on a closed descriptor).  Thread-safe;
+    call from worker loops. *)
 
 val pending : t -> int
 (** Intents currently submitted and undecided (parked fibers). *)
 
 val syscalls : t -> int
 (** Kernel I/O calls issued through this reactor so far: readiness
-    passes, probe sweeps, and every operation counted via
+    passes, stall-sweep probes, and every operation counted via
     {!count_syscall}.  Feeds the pools' [io_syscalls] stats counter. *)
 
 val count_syscall : t -> unit
@@ -227,8 +160,9 @@ val count_syscall : t -> unit
 
 val oldest_parked_ms : t -> float
 (** Age in milliseconds of the oldest intent still armed in this
-    reactor (0 when nothing is parked) — the staleness gauge behind the
-    pools' [oldest_parked_ms] stats field. *)
+    reactor's census (0 when nothing is parked, or before
+    {!start_census}) — the staleness gauge behind the pools'
+    [oldest_parked_ms] stats field. *)
 
 val sweep_stalled :
   t ->
@@ -237,12 +171,13 @@ val sweep_stalled :
   fail:(string -> exn) option ->
   unit ->
   int
-(** One stall sweep over every live intent older than [grace] seconds
+(** One stall sweep over every census intent older than [grace] seconds
     (younger intents are never touched).  Detects {e lost wakeups} —
     armed intents registered nowhere, which nothing will ever complete
     (exactly what {!chaos_drop_completions} manufactures) — and {e stale
-    registrations} — armed intents whose fd the backend's probe rejects,
-    the hazard an epoll-style backend's silent auto-deregistration would
+    registrations} — armed intents whose fd a zero-timeout probe finds
+    closed, a backstop for the batched pass's [POLLNVAL] path and the
+    hazard an epoll-style wait's silent auto-deregistration would
     introduce.  With [fail = Some mk], a lost wakeup completes the fiber
     loudly with [Error (mk description)], claiming the intent so a
     racing deadline loses; with [None] it is counted once and left

@@ -1,12 +1,11 @@
-/* poll(2) bindings for the reactor's readiness backend.
+/* poll(2) bindings: the reactor's only readiness mechanism.
 
    Unix.select cannot express a descriptor number at or above
    FD_SETSIZE (1024): the OCaml binding rejects it with EINVAL, which
-   caps a select-backed reactor at ~1k concurrent connections per
-   process — three decimal orders below the serving layer's target.
-   poll(2) has no such ceiling (POSIX, present on every platform this
-   repo builds on), so it is the default backend; the select backend
-   remains selectable for comparison (LHWS_BACKEND=select).
+   would cap the reactor at ~1k concurrent connections per process —
+   three decimal orders below the serving layer's target.  poll(2) has
+   no such ceiling and is POSIX, present on every platform this repo
+   builds on.
 
    The interface is deliberately dumb: parallel int arrays in, revents
    bits out, so the OCaml side owns all bookkeeping and the stub stays
@@ -16,8 +15,9 @@
          broken fd wakes its waiter, whose own syscall then surfaces
          the error)
      2 = writable (POLLOUT; same error/hup widening)
-     4 = invalid  (POLLNVAL: the fd is not open — the probe sweep turns
-         this into EBADF for the parked fiber)
+     4 = invalid  (POLLNVAL: the fd is not open — the batched pass
+         reports it ready so the parked operation's own syscall raises
+         EBADF; the single-fd wait raises EBADF itself)
 
    Return value: poll's own (number of fds with non-zero revents), or
    -1 for EINTR — the caller retries with a recomputed timeout.  Other

@@ -2,16 +2,17 @@
    else will.
 
    Every other liveness mechanism in the stack is attached to a
-   specific wait — a deadline races one intent, a probe sweep fires
-   when a batched pass rejects the set.  The watchdog is the backstop
-   for the failures those cannot see: a completion dropped in transit
-   (the fiber stays parked with nobody left to wake it), a backend that
-   silently forgot a descriptor, a worker wedged inside a task.  It
-   periodically sweeps the reactors' intent census ({!Io.sweep_stalled})
-   and compares per-worker heartbeat counters, counts what it finds,
-   and — in [Fail] mode — completes lost-wakeup fibers loudly with
-   {!Stalled} so an orphaned parked fiber becomes an error the
-   application sees instead of a hang the operator discovers. *)
+   specific wait — a deadline races one intent, a closed descriptor
+   comes back from the batched pass as POLLNVAL.  The watchdog is the
+   backstop for the failures those cannot see: a completion dropped in
+   transit (the fiber stays parked with nobody left to wake it), a
+   registration that silently forgot a descriptor, a worker wedged
+   inside a task.  It periodically sweeps the reactors' intent census
+   ({!Io.sweep_stalled}) and compares per-worker heartbeat counters,
+   counts what it finds, and — in [Fail] mode — completes lost-wakeup
+   fibers loudly with {!Stalled} so an orphaned parked fiber becomes an
+   error the application sees instead of a hang the operator
+   discovers. *)
 
 type action = Warn | Fail
 
@@ -72,7 +73,9 @@ let create ?(grace = 0.25) ?(action = Fail) ?interval ?stuck_after () =
   }
 
 let grace t = t.grace
-let attach_io t io = push_atomic t.ios io
+let attach_io t io =
+  Io.start_census io;
+  push_atomic t.ios io
 
 let attach_heartbeats t ~name read =
   push_atomic t.hbs

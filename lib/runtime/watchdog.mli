@@ -1,11 +1,11 @@
 (** Stall watchdog: detects what no deadline is watching.
 
-    Deadlines protect individual waits; the probe sweep fires only when
-    a readiness pass rejects its set.  The watchdog is the backstop for
+    Deadlines protect individual waits; a closed descriptor is caught
+    only when a readiness pass reports it.  The watchdog is the backstop for
     silent failures — a completion lost in transit leaving a fiber
     parked with nobody to wake it (the hazard
-    {!Io.chaos_drop_completions} simulates), a backend that forgot a
-    closed descriptor, a worker wedged inside a task.  Attach the
+    {!Io.chaos_drop_completions} simulates), a registration that forgot
+    a closed descriptor, a worker wedged inside a task.  Attach the
     reactors to watch ({!attach_io}) and the pools' heartbeat counters
     ({!attach_heartbeats}), then register {!poll} as a pool poller —
     each pump election gives the sweep a ride, and the watchdog paces
@@ -51,7 +51,9 @@ val create :
 val grace : t -> float
 
 val attach_io : t -> Io.t -> unit
-(** Put a reactor's parked intents under surveillance.  Thread-safe. *)
+(** Put a reactor's parked intents under surveillance: starts the
+    reactor's intent census ({!Io.start_census}).  Intents parked
+    before the call are not watched.  Thread-safe. *)
 
 val attach_heartbeats : t -> name:string -> (unit -> int array) -> unit
 (** Watch a pool's per-worker heartbeat counters (e.g.

@@ -151,28 +151,45 @@ let test_pending_count () =
               Pool.await reader;
               Alcotest.(check int) "drained" 0 (Io.pending io))))
 
-let test_fd_error_surfaces () =
-  (* Closing a descriptor under a parked fiber must resume it with the
-     Unix error, not leave it parked forever (the reactor probes each fd
-     when select rejects the whole set). *)
+(* Closing a descriptor under a parked fiber must resume it with the
+   Unix error, not leave it parked forever: poll reports the closed fd
+   as POLLNVAL, the pump treats that as ready for the direction it was
+   registered for, and the fiber's own syscall raises EBADF. *)
+let fd_error_surfaces dir () =
   with_io_pool (fun p io ->
       let r, w = Unix.pipe ~cloexec:true () in
+      let parked, other = match dir with `R -> (r, w) | `W -> (w, r) in
+      (* A writer only parks on a full pipe. *)
+      if dir = `W then begin
+        Unix.set_nonblock w;
+        let chunk = Bytes.create 4096 in
+        try
+          while true do
+            ignore (Unix.write w chunk 0 4096 : int)
+          done
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      end;
       let outcome =
         Pool.run p (fun () ->
-            let reader =
+            let op =
               Pool.async p (fun () ->
                   let buf = Bytes.create 1 in
-                  match Io.read io r buf 0 1 with
-                  | _ -> "read"
+                  match
+                    match dir with
+                    | `R -> Io.read io r buf 0 1
+                    | `W -> Io.write io w buf 0 1
+                  with
+                  | _ -> "completed"
                   | exception Unix.Unix_error (Unix.EBADF, _, _) -> "ebadf")
             in
             Pool.sleep p 0.02;
-            (* the reader is parked on [r]; now close it underneath *)
-            Unix.close r;
-            Pool.await reader)
+            Alcotest.(check int) "the fiber is parked" 1 (Io.pending io);
+            (* now close the parked descriptor underneath it *)
+            Unix.close parked;
+            Pool.await op)
       in
-      Unix.close w;
-      Alcotest.(check string) "parked waiter resumed with EBADF" "ebadf" outcome)
+      Unix.close other;
+      Alcotest.(check string) "parked fiber resumed with EBADF" "ebadf" outcome)
 
 let test_io_pending_stat () =
   Pool.with_pool ~workers:2 (fun p ->
@@ -207,7 +224,10 @@ let () =
           Alcotest.test_case "read_exactly eof" `Quick test_read_exactly_eof_raises;
           Alcotest.test_case "many pipes" `Quick test_many_pipes;
           Alcotest.test_case "pending count" `Quick test_pending_count;
-          Alcotest.test_case "fd error surfaces to parked fiber" `Quick test_fd_error_surfaces;
+          Alcotest.test_case "fd error surfaces to parked fiber" `Quick
+            (fd_error_surfaces `R);
+          Alcotest.test_case "fd error surfaces to parked writer" `Quick
+            (fd_error_surfaces `W);
           Alcotest.test_case "io_pending stats gauge" `Quick test_io_pending_stat;
         ] );
     ]

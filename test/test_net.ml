@@ -119,7 +119,7 @@ let test_conn_deadline_fibers () =
       Alcotest.(check string) "fiber read deadline" "timeout" outcome)
 
 let test_conn_deadline_blocking () =
-  (* Blocking mode needs no pool at all: the deadline is select's timeout. *)
+  (* Blocking mode needs no pool at all: the deadline is poll's timeout. *)
   let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let rt = Reactor.blocking () in
   let c = Conn.create rt ~read_timeout:0.05 a in

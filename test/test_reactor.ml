@@ -6,10 +6,10 @@
    - an EAGAIN — kernel-reported or injected — forces the park/submit
      path, the pump executes the op on readiness, and the fiber resumes
      exactly once with the result;
-   - legacy mode resumes the fiber on readiness and lets it reissue the
-     op itself, with the same exactly-once surface;
    - a deadline claims a parked intent and surfaces Net.Timeout, leaving
      io_pending drained;
+   - without a watchdog a completed park is not retained: live words
+     stay flat across 20k parks;
    - the mutation check: a completion dropped on the floor (the bug the
      chaos hook simulates) is *detected* — every racing deadline fires,
      the gauge sticks while parked — rather than hanging the suite;
@@ -22,13 +22,13 @@ module Net = Lhws_net.Net
 module Reactor = Lhws_net.Reactor
 module Conn = Lhws_net.Conn
 
-let with_rt ?(workers = 2) ?legacy f =
+let with_rt ?(workers = 2) f =
   Lhws_pool.with_pool ~workers (fun p ->
       let rt =
         Reactor.fibers
           ~register:(fun ~pending ~syscalls poll ->
             Lhws_pool.register_poller p ?pending ?syscalls poll)
-          ?legacy ()
+          ()
       in
       let module Pl = P.Lhws_instance in
       Pl.run p (fun () -> f p rt))
@@ -107,8 +107,8 @@ let test_injected_eagain_parks () =
 
 (* --- a real park: empty socket, writer fires later, one resume --- *)
 
-let run_parked_read ?legacy () =
-  with_rt ?legacy (fun p rt ->
+let test_parked_read_batched () =
+  with_rt (fun p rt ->
       let ((a, b) as pair) = socketpair () in
       Fun.protect ~finally:(fun () -> close_both pair) @@ fun () ->
       let module Pl = P.Lhws_instance in
@@ -125,14 +125,52 @@ let run_parked_read ?legacy () =
       let n = Pl.await p reader in
       Alcotest.(check int) "one byte after the park" 1 n;
       Alcotest.(check char) "the byte" 'z' (Bytes.get buf 0);
-      (* Batched: eager EAGAIN + pump exec = 2.  Legacy: eager EAGAIN +
-         post-wake retry by the fiber itself = 2.  Either way the op ran
-         once for real and the fiber resumed once. *)
+      (* Eager EAGAIN + pump exec = 2: the op ran once for real and the
+         fiber resumed once. *)
       Alcotest.(check int) "no duplicate executions" 2 !execs;
       Alcotest.(check bool) "io_pending drains" true (drained p))
 
-let test_parked_read_batched () = run_parked_read ()
-let test_parked_read_legacy () = run_parked_read ~legacy:true ()
+(* --- no watchdog, no census: a completed park leaves nothing behind --- *)
+
+let test_parks_not_retained () =
+  with_rt (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let ((a, _) as pair) = socketpair () in
+      Fun.protect ~finally:(fun () -> close_both pair) @@ fun () ->
+      (* The socket is always writable and [exec] writes nothing, but its
+         first call lies EAGAIN: the eager attempt parks and the pump's
+         execution completes, so every [run_io] is one full park. *)
+      let park_many n =
+        let fibers = 20 in
+        List.init fibers (fun _ ->
+            Pl.async p (fun () ->
+                for _ = 1 to n / fibers do
+                  let tried = ref false in
+                  Reactor.run_io rt `Writable a ~exec:(fun () ->
+                      if not !tried then begin
+                        tried := true;
+                        raise (Unix.Unix_error (Unix.EAGAIN, "write", "injected"))
+                      end)
+                done))
+        |> List.iter (Pl.await p)
+      in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let n = 20_000 in
+      park_many 2_000;  (* warm up rings, tables and deques *)
+      let before = live_words () in
+      let s0 = Reactor.io_syscalls rt in
+      park_many n;
+      let after = live_words () in
+      Alcotest.(check bool) "every call parked once" true
+        (Reactor.io_syscalls rt - s0 >= 2 * n);
+      let per_park = float_of_int (after - before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f live words per completed park (< 2)" per_park)
+        true (per_park < 2.);
+      Alcotest.(check bool) "io_pending drains" true (drained p))
 
 (* --- deadline beats a never-ready intent; the intent is reclaimed --- *)
 
@@ -258,10 +296,10 @@ let () =
         [
           Alcotest.test_case "pump executes on readiness (batched)" `Quick
             test_parked_read_batched;
-          Alcotest.test_case "readiness wakes the fiber (legacy)" `Quick
-            test_parked_read_legacy;
           Alcotest.test_case "deadline claims a parked intent" `Quick
             test_deadline_claims_intent;
+          Alcotest.test_case "completed parks are not retained" `Quick
+            test_parks_not_retained;
         ] );
       ( "mutation",
         [

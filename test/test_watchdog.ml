@@ -17,8 +17,8 @@
    - detections feed the pool's [stalls_detected] stats field and emit
      [Stalled] tracing events;
    - a descriptor closed behind the reactor's back fails the parked
-     fiber loudly on BOTH backends (select's wholesale-EBADF sweep and
-     poll's POLLNVAL path, backstopped by the watchdog's probe);
+     fiber loudly (poll's POLLNVAL path, backstopped by the watchdog's
+     probe);
    - Aged_fifo: resumed continuations are serviced in arrival order
      through the per-worker FIFO lane. *)
 
@@ -181,11 +181,9 @@ let test_warn_mode_counts_but_leaves_parked () =
       Alcotest.(check bool) "stall was still counted" true
         (Watchdog.stalls_detected wd >= 1))
 
-(* --- stale fd: loud failure on both backends --- *)
+(* --- stale fd: loud failure --- *)
 
-let stale_fd_on backend () =
-  Unix.putenv "LHWS_BACKEND" backend;
-  Fun.protect ~finally:(fun () -> Unix.putenv "LHWS_BACKEND" "") @@ fun () ->
+let test_stale_fd_poll () =
   with_wd_rt ~grace:0.02 (fun p _wd rt ->
       let module Pl = P.Lhws_instance in
       let a, b = socketpair () in
@@ -211,12 +209,9 @@ let stale_fd_on backend () =
       (match Pl.await p reader with
       | `Failed_loudly -> ()
       | `Completed -> Alcotest.fail "read completed on a closed fd"
-      | `Timed_out -> Alcotest.failf "%s backend: hung until the deadline" backend);
+      | `Timed_out -> Alcotest.fail "hung until the deadline");
       Alcotest.(check bool) "failed promptly" true
         (Unix.gettimeofday () -. t0 < 5.))
-
-let test_stale_fd_select () = stale_fd_on "select" ()
-let test_stale_fd_poll () = stale_fd_on "poll" ()
 
 (* --- Aged_fifo: resumes are serviced in arrival order --- *)
 
@@ -282,7 +277,6 @@ let () =
         ] );
       ( "stale-fd",
         [
-          Alcotest.test_case "select backend fails loudly" `Quick test_stale_fd_select;
           Alcotest.test_case "poll backend fails loudly" `Quick test_stale_fd_poll;
         ] );
       ( "aged-fifo",

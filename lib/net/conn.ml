@@ -216,10 +216,13 @@ let writev_all t iovs =
           (match v with Fault.Short _ -> short_seen := true | _ -> ());
           v)
     in
+    (* Fiber mode set the descriptor non-blocking in [create], so its
+       writes take the copy-free writev. *)
+    let nonblocking = batched t in
     apply_verdict owed "write" v (fun v ->
         match v with
-        | Fault.Short cap -> Iov.write t.fd (Iov.take !rem (max 1 cap))
-        | _ -> Iov.write t.fd !rem)
+        | Fault.Short cap -> Iov.write ~nonblocking t.fd (Iov.take !rem (max 1 cap))
+        | _ -> Iov.write ~nonblocking t.fd !rem)
   in
   let rec go () =
     if Iov.length !rem > 0 then

@@ -548,13 +548,17 @@ let serialize ?(head_only = false) ~keep_alive r =
    walks [next_send] upward, coalescing every {e consecutive} ready
    response into one vectored write.  A response finishing ahead of a
    still-running earlier handler parks in the table until the gap
-   fills; its writer loops on its outcome cell exactly like Rpc's
-   writers, so flush failures reach the writers whose frames were in
-   the failed batch and no frame is ever abandoned. *)
+   fills.  Its writer waits on a one-shot promise that the flusher
+   settles when the batch holding the response is written or fails, so
+   flush failures reach exactly the writers whose frames were in the
+   failed batch and no frame is ever abandoned.
 
-type fstate = Fpending | Fdone | Ffailed of exn
+   Writers must not poll (sleep and re-check): a few hundred pollers
+   behind one slow handler make enough timer wake-ups to keep every
+   worker busy, and the handler that would fill the gap then waits
+   unrun at the old end of a deque — the connection never recovers. *)
 
-type oentry = { iov : Bytes.t list; cell : fstate Atomic.t; close_after : bool }
+type oentry = { iov : Bytes.t list; sent : unit Promise.t; close_after : bool }
 
 type ordered_outbox = {
   mu : Mutex.t;  (* guards [ready] + [next_send]; never held across I/O *)
@@ -562,17 +566,17 @@ type ordered_outbox = {
   mutable next_send : int;
   next_seq : int Atomic.t;
   flushing : bool Atomic.t;  (* thread-agnostic: holder may park mid-writev *)
-  sleep : unit -> unit;
+  await : unit Promise.t -> unit;
 }
 
-let make_oob sleep =
+let make_oob await =
   {
     mu = Mutex.create ();
     ready = Hashtbl.create 16;
     next_send = 0;
     next_seq = Atomic.make 0;
     flushing = Atomic.make false;
-    sleep;
+    await;
   }
 
 let alloc_seq ob = Atomic.fetch_and_add ob.next_seq 1
@@ -594,43 +598,47 @@ let rec flush_oob ob conn =
   | batch ->
       (match Conn.writev_all conn (List.concat_map (fun e -> e.iov) batch) with
       | () ->
-          List.iter (fun e -> Atomic.set e.cell Fdone) batch;
+          List.iter (fun e -> Promise.fulfill e.sent (Ok ())) batch;
           (* [Connection: close] takes effect only after the bytes are
              out; anything sequenced after it fails with Net.Closed on
              the next pass. *)
           if List.exists (fun e -> e.close_after) batch then Conn.close conn
       | exception ex ->
-          List.iter (fun e -> Atomic.set e.cell (Ffailed ex)) batch;
+          List.iter (fun e -> Promise.fulfill e.sent (Error ex)) batch;
           Conn.close conn);
       flush_oob ob conn
 
-(* Blocks (suspending the fiber via [sleep]) until this sequence slot's
-   bytes are on the wire or the write failed.  Raising on failure lets
-   the caller treat an unwritable response like Rpc does: the peer is
-   owed bytes it will never get, so the connection must die. *)
+let next_is_ready ob =
+  Mutex.lock ob.mu;
+  let ready = Hashtbl.mem ob.ready ob.next_send in
+  Mutex.unlock ob.mu;
+  ready
+
+(* Flush if nobody else is.  A writer that finds the flag taken leaves
+   its entry to the holder, so the holder looks once more after putting
+   the flag down: an entry inserted after its last collect, whose writer
+   saw the flag still up, is flushed then instead of being stranded. *)
+let rec try_flush ob conn =
+  if Atomic.compare_and_set ob.flushing false true then begin
+    (match flush_oob ob conn with
+    | () -> Atomic.set ob.flushing false
+    | exception ex ->
+        Atomic.set ob.flushing false;
+        raise ex);
+    if next_is_ready ob then try_flush ob conn
+  end
+
+(* Waits (through the pool's [await]) until this sequence slot's bytes
+   are on the wire or the write failed.  Raising on failure lets the
+   caller treat an unwritable response like Rpc does: the peer is owed
+   bytes it will never get, so the connection must die. *)
 let send_ordered ob conn ~seq iov ~close_after =
-  let e = { iov; cell = Atomic.make Fpending; close_after } in
+  let e = { iov; sent = Promise.create (); close_after } in
   Mutex.lock ob.mu;
   Hashtbl.replace ob.ready seq e;
   Mutex.unlock ob.mu;
-  let rec resolve () =
-    match Atomic.get e.cell with
-    | Fdone -> ()
-    | Ffailed ex -> raise ex
-    | Fpending ->
-        if Atomic.compare_and_set ob.flushing false true then
-          Fun.protect
-            ~finally:(fun () -> Atomic.set ob.flushing false)
-            (fun () -> flush_oob ob conn);
-        (* Unlike Rpc's outbox, a successful flush need not include our
-           frame: an earlier sequence number may still be computing, in
-           which case nothing was written.  Sleep on any pass that left
-           the cell unresolved, or this loop hot-spins a worker for the
-           whole gap. *)
-        (match Atomic.get e.cell with Fpending -> ob.sleep () | _ -> ());
-        resolve ()
-  in
-  resolve ()
+  try_flush ob conn;
+  ob.await e.sent
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                             *)
@@ -863,7 +871,7 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
     Parser.create ~max_header_bytes:cfg.max_header_bytes
       ~max_body_bytes:cfg.max_body_bytes ()
   in
-  let ob = make_oob (fun () -> P.sleep pool 0.0002) in
+  let ob = make_oob (P.await pool) in
   let outstanding = Atomic.make 0 in
   let stop = ref false in
   let chunk = Bytes.create 8192 in

@@ -56,25 +56,26 @@ let sleep t d =
 
 (* Blocking pools park in [poll(2)] itself ({!Io.poll_single}, no
    FD_SETSIZE ceiling); the deadline becomes its timeout, so a
-   dead peer still cannot hold a worker forever.  poll's millisecond
-   granularity rounds the timeout {e up}: a deadline may be overshot by
-   up to 1 ms but never fires early with the fd unready. *)
+   dead peer still cannot hold a worker forever.  The timeout is rounded
+   {e up} to the microsecond: a deadline never fires early with the fd
+   unready, and on Linux it is not overshot by more than the wake-up
+   latency (elsewhere poll's millisecond granularity still applies). *)
 let wait_blocking kind fd ~deadline =
   let kind = match kind with `Readable -> `R | `Writable -> `W in
-  let timeout_ms () =
+  let timeout_us () =
     match deadline with
     | None -> -1 (* no deadline: block until ready *)
     | Some d ->
         let left = d -. Unix.gettimeofday () in
-        if left <= 0. then 0 else int_of_float (ceil (left *. 1000.))
+        if left <= 0. then 0 else int_of_float (ceil (left *. 1e6))
   in
   let rec go () =
-    match Io.poll_single kind fd ~timeout_ms:(timeout_ms ()) with
+    match Io.poll_single kind fd ~timeout_us:(timeout_us ()) with
     | `Ready -> ()
     | `Interrupted -> go ()
     | `Timeout ->
         if deadline = None then go () (* spurious zero-timeout wake *)
-        else if timeout_ms () = 0 then raise Net.Timeout
+        else if timeout_us () = 0 then raise Net.Timeout
         else go ()
   in
   go ()

@@ -61,36 +61,47 @@ type intent = {
 
 (* --- poll(2) stubs (see poll_stubs.c) ---
 
-   [poll_raw] drives parallel int arrays: interest bit 1 = readable,
-   2 = writable; result adds bit 4 for POLLNVAL.  Returns the number of
-   ready entries, or -1 for EINTR. *)
+   [poll_raw fds events n timeout_us ready_fds ready_bits] waits on the
+   first [n] entries of the parallel interest arrays (bit 1 = readable,
+   2 = writable) for at most [timeout_us] microseconds (negative =
+   forever), packs each ready entry's fd and result bits (the same two,
+   plus 4 for POLLNVAL) at the front of the two ready arrays, and
+   returns how many it packed, or -1 for EINTR. *)
 external poll_raw :
-  Unix.file_descr array -> int array -> int array -> int -> int -> int
-  = "lhws_poll_stub"
+  Unix.file_descr array ->
+  int array ->
+  int ->
+  int ->
+  Unix.file_descr array ->
+  int array ->
+  int = "lhws_poll_byte" "lhws_poll_stub"
+
+external writev_raw : Unix.file_descr -> Bytes.t list -> int = "lhws_writev_stub"
 
 external raise_nofile_raw : int -> int = "lhws_raise_nofile_stub"
 
 let raise_nofile want = raise_nofile_raw want
 
-(* One descriptor, one direction, a millisecond timeout (-1 = forever):
-   the single-fd wait used by blocking-mode reactors and by the stall
-   sweep's probe.  [`Ready] covers error/hang-up too — the caller's own
-   syscall surfaces whatever is wrong with the fd. *)
-let poll_single kind fd ~timeout_ms =
+(* One descriptor, one direction, a microsecond timeout (negative =
+   forever): the single-fd wait used by blocking-mode reactors and by the
+   stall sweep's probe.  [`Ready] covers error/hang-up too — the caller's
+   own syscall surfaces whatever is wrong with the fd. *)
+let poll_single kind fd ~timeout_us =
   let fds = [| fd |] in
-  let events = [| (match kind with `R -> 1 | `W -> 2) |] in
-  let revents = [| 0 |] in
-  match poll_raw fds events revents 1 timeout_ms with
+  let bits = [| (match kind with `R -> 1 | `W -> 2) |] in
+  (* The stub copies the interest in before it writes results out, so one
+     pair of arrays serves as both. *)
+  match poll_raw fds bits 1 timeout_us fds bits with
   | 0 -> `Timeout
   | -1 -> `Interrupted
   | _ ->
-      if revents.(0) land 4 <> 0 then
+      if bits.(0) land 4 <> 0 then
         raise (Unix.Unix_error (Unix.EBADF, "poll", ""))
       else `Ready
 
 (* A zero-timeout probe of one fd: [Some exn] when it is not open. *)
 let probe kind fd =
-  match poll_single kind fd ~timeout_ms:0 with
+  match poll_single kind fd ~timeout_us:0 with
   | `Ready | `Timeout | `Interrupted -> None
   | exception (Unix.Unix_error _ as e) -> Some e
 
@@ -101,11 +112,13 @@ module Pollset = struct
      [add] runs once when the first waiter for (fd, direction) registers
      and [remove] once when the last one leaves — never per pass.  Both
      directions of one fd share a slot; interest is the bit mask the
-     stub expects (1 = R, 2 = W). *)
+     stub expects (1 = R, 2 = W).  [ready_fds]/[ready_bits] receive a
+     pass's results, as large as the interest arrays so every entry fits. *)
   type t = {
     mutable fds : Unix.file_descr array;
     mutable events : int array;
-    mutable revents : int array;
+    mutable ready_fds : Unix.file_descr array;
+    mutable ready_bits : int array;
     mutable n : int;
     index : (Unix.file_descr, int) Hashtbl.t;
   }
@@ -114,7 +127,8 @@ module Pollset = struct
     {
       fds = Array.make 64 Unix.stdin;
       events = Array.make 64 0;
-      revents = Array.make 64 0;
+      ready_fds = Array.make 64 Unix.stdin;
+      ready_bits = Array.make 64 0;
       n = 0;
       index = Hashtbl.create 64;
     }
@@ -128,7 +142,8 @@ module Pollset = struct
       Array.blit t.events 0 events 0 cap;
       t.fds <- fds;
       t.events <- events;
-      t.revents <- Array.make (2 * cap) 0
+      t.ready_fds <- Array.make (2 * cap) Unix.stdin;
+      t.ready_bits <- Array.make (2 * cap) 0
     end
 
   let bit = function `R -> 1 | `W -> 2
@@ -160,26 +175,23 @@ module Pollset = struct
           t.n <- last
         end
 
-  (* One zero-timeout pass: (ready-to-read, ready-to-write).  POLLNVAL
-     entries are reported ready for whatever direction they registered:
-     the pump then runs (or wakes) their operations, whose own syscall
-     raises EBADF — a parked fiber on a closed fd fails loudly without a
-     second syscall to find the culprit. *)
-  let wait t =
-    match poll_raw t.fds t.events t.revents t.n 0 with
+  (* One pass that waits at most [timeout_us] (0 = just look):
+     (ready-to-read, ready-to-write).  POLLNVAL entries come back ready
+     for whatever direction they registered: the pump then runs (or
+     wakes) their operations, whose own syscall raises EBADF — a parked
+     fiber on a closed fd fails loudly without a second syscall to find
+     the culprit.  Results name fds, not slots, so an entry that a
+     concurrent cancel removed or moved while the pass blocked cannot
+     hand its readiness to another fd; a removed fd finds no waiters. *)
+  let wait t ~timeout_us =
+    match poll_raw t.fds t.events t.n timeout_us t.ready_fds t.ready_bits with
     | 0 | -1 -> ([], [])
-    | _ ->
+    | k ->
         let r = ref [] and w = ref [] in
-        for i = 0 to t.n - 1 do
-          let re = t.revents.(i) in
-          if re <> 0 then begin
-            let interest = t.events.(i) in
-            let nval = re land 4 <> 0 in
-            if interest land 1 <> 0 && (re land 1 <> 0 || nval) then
-              r := t.fds.(i) :: !r;
-            if interest land 2 <> 0 && (re land 2 <> 0 || nval) then
-              w := t.fds.(i) :: !w
-          end
+        for j = 0 to k - 1 do
+          let bits = t.ready_bits.(j) in
+          if bits land 1 <> 0 then r := t.ready_fds.(j) :: !r;
+          if bits land 2 <> 0 then w := t.ready_fds.(j) :: !w
         done;
         (!r, !w)
 end
@@ -201,6 +213,22 @@ type waiters = (Unix.file_descr, intent list ref) Hashtbl.t
    interest sets keep the 50 us floor. *)
 let pacing_floor_s = 0.00005
 let per_fd_pacing_s = 2e-7
+
+(* The idle wait budget: seconds the calling domain's worker would
+   otherwise spend in [Unix.sleepf], lent to the next readiness pass on
+   this domain (see {!lend_idle_wait}).  0 = none lent.  A float-only
+   record, so storing to it does not box. *)
+type idle_slot = { mutable lent : float }
+
+let idle_wait : idle_slot Domain.DLS.key = Domain.DLS.new_key (fun () -> { lent = 0. })
+
+let lend_idle_wait s = (Domain.DLS.get idle_wait).lent <- s
+
+let reclaim_idle_wait () =
+  let slot = Domain.DLS.get idle_wait in
+  let s = slot.lent in
+  slot.lent <- 0.;
+  s
 
 let ring_count = 8 (* power of two; rings are indexed by domain id *)
 
@@ -422,16 +450,25 @@ let poll t =
   else begin
     (* 2. One batched readiness pass — paced by wall clock and scaled by
        the registered-set size, so neither an idle-spinning pump nor a
-       saturated one burns a full-set walk per loop iteration. *)
+       saturated one burns a full-set walk per loop iteration.  A worker
+       that lent its idle sleep makes the pass at once and blocks in it
+       for up to one pacing interval: the first readiness edge wakes it,
+       and an intent submitted meanwhile waits no longer than it would
+       for the next paced pass. *)
+    let budget = reclaim_idle_wait () in
     let now = Unix.gettimeofday () in
     let interval =
       pacing_floor_s +. (float_of_int t.pollset.n *. per_fd_pacing_s)
     in
-    if now -. t.last_pass < interval then 0
+    if budget <= 0. && now -. t.last_pass < interval then 0
     else begin
-      t.last_pass <- now;
+      let timeout_us =
+        if budget <= 0. then 0 else int_of_float (Float.min budget interval *. 1e6)
+      in
       count_syscall t;
-      match Pollset.wait t.pollset with
+      let ready = Pollset.wait t.pollset ~timeout_us in
+      t.last_pass <- (if timeout_us = 0 then now else Unix.gettimeofday ());
+      match ready with
       | [], [] -> 0
       | ready_r, ready_w ->
           Mutex.lock t.mu;
@@ -570,13 +607,15 @@ let sweep_stalled t ~grace ?probe_every ~fail () =
   List.iter (fun w -> ring_push t.tracked w) !keep;
   failed_orphans + !warned + !stale_failures
 
-(* --- vectored I/O shim ---
+(* --- vectored I/O ---
 
-   ExtUnix-free: a single buffer goes straight through; several buffers
-   are coalesced into one scratch write/read, so the whole vector still
-   costs one kernel round trip (one copy stands in for the missing
-   writev(2)/readv(2) binding — this, not the call sites, is where a C
-   stub would slot in). *)
+   Writes on non-blocking descriptors are a real writev(2) straight from
+   the OCaml buffers (poll_stubs.c; no copy, at most 64 buffers per
+   call).  Everything that may block — blocking-mode writes and all
+   reads — keeps the copying shim: a single buffer goes straight
+   through, several are coalesced into one scratch write/read, so the
+   vector still costs one kernel round trip, and [Unix.write]/
+   [Unix.read] release the runtime lock around the call that blocks. *)
 
 module Iov = struct
   let length iovs = List.fold_left (fun acc b -> acc + Bytes.length b) 0 iovs
@@ -603,9 +642,10 @@ module Iov = struct
     in
     if cap <= 0 then [] else go [] cap iovs
 
-  let write fd iovs =
+  let write ~nonblocking fd iovs =
     match iovs with
     | [] -> 0
+    | _ when nonblocking -> writev_raw fd iovs
     | [ b ] -> Unix.write fd b 0 (Bytes.length b)
     | bs ->
         let total = length bs in

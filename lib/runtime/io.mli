@@ -40,14 +40,17 @@ val start_census : t -> unit
 val poll_single :
   [ `R | `W ] ->
   Unix.file_descr ->
-  timeout_ms:int ->
+  timeout_us:int ->
   [ `Ready | `Timeout | `Interrupted ]
-(** One descriptor, one direction, a millisecond timeout ([-1] waits
+(** One descriptor, one direction, a microsecond timeout (negative waits
     forever) — the blocking-mode wait primitive, with no [FD_SETSIZE]
     ceiling, so the threaded baselines can hold thousands of
-    connections too.  [`Ready] includes error/hang-up conditions
-    (the caller's next syscall surfaces the actual error);
-    [`Interrupted] is [EINTR] (recompute the timeout and retry).
+    connections too.  On Linux the timeout is kept at full resolution
+    ([ppoll(2)]); elsewhere it is rounded up to whole milliseconds, so
+    the wait may run long but never times out early.  [`Ready]
+    includes error/hang-up conditions (the caller's next syscall
+    surfaces the actual error); [`Interrupted] is [EINTR] (recompute the
+    timeout and retry).
     @raise Unix.Unix_error [EBADF] when the descriptor is not open. *)
 
 val raise_nofile : int -> int
@@ -114,11 +117,11 @@ val write_all : t -> Unix.file_descr -> bytes -> unit
 
 (** {1 Vectored I/O}
 
-    ExtUnix-free [writev]/[readv]: one kernel round trip for a whole
-    buffer vector.  A single buffer goes straight through; several are
-    coalesced through one scratch copy — the seam where a C
-    [writev(2)]/[readv(2)] stub would slot in without touching call
-    sites. *)
+    One kernel round trip for a whole buffer vector.  Writes on
+    non-blocking descriptors are a real [writev(2)] from the buffers
+    themselves; blocking writes and reads coalesce several buffers
+    through one scratch copy, so the runtime lock can be released around
+    the call that blocks. *)
 
 module Iov : sig
   val length : Bytes.t list -> int
@@ -129,8 +132,15 @@ module Iov : sig
   val take : Bytes.t list -> int -> Bytes.t list
   (** The vector clamped to its first [cap] bytes (injected shorts). *)
 
-  val write : Unix.file_descr -> Bytes.t list -> int
-  (** One gathering write; returns bytes written (may be short). *)
+  val write : nonblocking:bool -> Unix.file_descr -> Bytes.t list -> int
+  (** One gathering write; returns bytes written (may be short).  With
+      [~nonblocking:true] — which the caller must only pass for a
+      descriptor in non-blocking mode — it is one [writev(2)] over at
+      most the first 64 buffers, copying nothing, and a full descriptor
+      raises [Unix.Unix_error EAGAIN] at once.  With [~nonblocking:false]
+      several buffers are concatenated into one scratch buffer and
+      written with [Unix.write], which may block.
+      @raise Unix.Unix_error as the underlying call does. *)
 
   val read : Unix.file_descr -> Bytes.t list -> int
   (** One scattering read; returns bytes read (0 at end of file). *)
@@ -143,7 +153,29 @@ val poll : t -> int
     readiness pass, executes ready operations and delivers their
     completions; returns how many completions were delivered (including
     operations that raised, e.g. on a closed descriptor).  Thread-safe;
-    call from worker loops. *)
+    call from worker loops.
+
+    Passes are paced: at most one per 50 µs plus 0.2 µs per registered
+    descriptor, and a pass only looks (zero timeout) — unless the
+    calling domain has lent an idle wait with {!lend_idle_wait}.  Then,
+    if any intent is registered, the pass is made at once, blocks until
+    the first descriptor is ready or for at most the lent time or the
+    pacing interval, whichever is shorter, and consumes the loan.  With
+    nothing registered the loan is left for the next reactor polled on
+    this domain, or for {!reclaim_idle_wait}. *)
+
+val lend_idle_wait : float -> unit
+(** [lend_idle_wait s] stores [s] seconds in a slot that belongs to the
+    calling domain: the time its worker is about to spend idle.  The
+    next {!poll} on this domain that makes a readiness pass spends it
+    blocked in that pass instead (see {!poll}), so the first readiness
+    edge wakes the worker.  The scheduler's idle path lends its backoff
+    sleep this way to the pump owner's pollers; nothing else needs to. *)
+
+val reclaim_idle_wait : unit -> float
+(** Empties the calling domain's slot and returns what was left in it:
+    the lent time when no {!poll} used it (the caller should then sleep
+    as it would have), [0.] when a pass consumed it. *)
 
 val pending : t -> int
 (** Intents currently submitted and undecided (parked fibers). *)

@@ -111,8 +111,9 @@ val submit : t -> (unit -> unit) -> unit
 (** Pool-pinned external submission: the thunk lands in one worker's
     inbox (round robin) and is guaranteed to start on a worker of this
     pool.  Safe from any thread — non-workers and other pools' workers
-    included.  See {!Scheduler_core.Make.submit} for the cold-start
-    latency caveat. *)
+    included.  An exception escaping the thunk is printed to stderr and
+    the worker keeps running.  See {!Scheduler_core.Make.submit} for the
+    cold-start latency caveat. *)
 
 (** {2 Cross-pool scavenging}
 
@@ -141,10 +142,13 @@ val set_tracer : t -> Tracing.t -> unit
 
 val register_poller :
   t -> ?pending:(unit -> int) -> ?syscalls:(unit -> int) -> (unit -> int) -> unit
-(** Adds an event source that workers poll once per scheduling iteration,
-    like the built-in timer — e.g. {!Io.poll} for file-descriptor
-    readiness.  The callback returns how many events it fired.  Register
-    before {!run}; not thread-safe against concurrent registration. *)
+(** Adds an event source that workers poll once per scheduling iteration
+    — e.g. {!Io.poll} for file-descriptor readiness.  One worker at a
+    time runs the pollers; an idle one runs them with its backoff sleep
+    lent through {!Io.lend_idle_wait}, so {!Io.poll} may block in its
+    readiness pass for up to one pacing interval.  The callback returns
+    how many events it fired.  Register before {!run}; not thread-safe
+    against concurrent registration. *)
 
 val register_shed_counter : t -> (unit -> int) -> unit
 (** Adds a monotone overload-shed counter summed into the [conns_shed]

@@ -279,22 +279,51 @@ module Make (P : POLICY) = struct
   let backoff_base_us = 50
   let backoff_max_us = 1_000
 
-  (* Pump event sources, decontended two ways.  First, the timer's earliest
-     deadline is read from a lock-free mirror, so when nothing is registered
-     the common case costs one atomic load — no heap mutex, no clock read.
-     Second, at most one worker at a time pumps (CAS-elected): a losing
-     worker skips rather than queueing on the timer's mutex, and the winner
-     pays the single [Unix.gettimeofday] on everyone's behalf. *)
+  (* Run the pollers; the caller won [pump_lock], which is released on
+     both paths.  Written out rather than with [Fun.protect], whose two
+     closures would be allocated on every idle iteration.  A loan left by
+     {!idle_pump} is withdrawn on the exception path too, so it cannot
+     leak into a later pass on this domain. *)
+  let run_pollers t =
+    match List.iter (fun p -> ignore (p.poll_fn () : int)) t.pollers with
+    | () -> Atomic.set t.pump_lock false
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Atomic.set t.pump_lock false;
+        ignore (Io.reclaim_idle_wait () : float);
+        Printexc.raise_with_backtrace e bt
+
+  (* Pump event sources.  Due pool-timer entries are fired by any worker
+     that sees them due: the earliest deadline is read from a lock-free
+     mirror, so with nothing registered this costs one atomic load, and
+     [Timer.poll] hands each due callback to exactly one caller under the
+     timer's own mutex.  Timers stay out of the election on purpose: the
+     election's winner may be blocked in a readiness pass (see
+     [idle_pump]), and a due timer must not wait for it.  Pollers are
+     CAS-elected: at most one worker runs them, and a losing worker skips
+     rather than queueing. *)
   let pump t =
     let hint = Timer.next_deadline_hint t.timer in
-    if hint < infinity || t.pollers <> [] then
-      if Atomic.compare_and_set t.pump_lock false true then
-        Fun.protect
-          ~finally:(fun () -> Atomic.set t.pump_lock false)
-          (fun () ->
-            if hint < infinity && hint <= Unix.gettimeofday () then
-              ignore (Timer.poll t.timer : int);
-            List.iter (fun p -> ignore (p.poll_fn () : int)) t.pollers)
+    if hint < infinity && hint <= Unix.gettimeofday () then
+      ignore (Timer.poll t.timer : int);
+    if t.pollers <> [] && Atomic.compare_and_set t.pump_lock false true then
+      run_pollers t
+
+  (* Spend an idle worker's [s]-second sleep where readiness can end it:
+     if the worker wins the pump election, the pollers run with [s] lent
+     as an idle wait ({!Io.lend_idle_wait}), so the reactor's readiness
+     pass blocks in poll(2) — for at most one pacing interval — and the
+     first ready descriptor wakes the worker.  [false] when the election
+     was lost or no poller used the loan (nothing registered); the caller
+     then sleeps as before. *)
+  let idle_pump t s =
+    t.pollers <> []
+    && Atomic.compare_and_set t.pump_lock false true
+    && begin
+         Io.lend_idle_wait s;
+         run_pollers t;
+         Io.reclaim_idle_wait () = 0.
+       end
 
   (* Move externally submitted thunks into the worker's local queue.
      Exchange empties the Treiber stack in one atomic op; the reverse
@@ -362,25 +391,34 @@ module Make (P : POLICY) = struct
             (* Nothing runnable: spin briefly, then back off exponentially
                (capped) to avoid burning the core — we may be
                oversubscribed — clamping the sleep to the next timer
-               deadline so expiry is never overslept. *)
+               deadline so expiry is never overslept.  The pump owner
+               spends the sleep blocked in its readiness pass instead
+               ([idle_pump]), so fd readiness ends it early. *)
             if idle_spins < 16 then Domain.cpu_relax ()
             else begin
               (* A worker that owns suspended fibers may be handed a resume
-                 from another domain at any moment, and nothing interrupts a
-                 sleeping worker — so such workers stay at the base poll
-                 interval and only truly-idle ones climb to the cap.
+                 from another domain at any moment, and only the kernel
+                 wakes a sleeping worker early — fd readiness, for the
+                 pump owner blocked in its readiness pass — so such
+                 workers stay at the base poll interval and only
+                 truly-idle ones climb to the cap.
 
-                 Deliberate tradeoff: nothing wakes a truly-idle worker when
-                 fresh tasks are pushed elsewhere either, so pickup of newly
-                 injected work via stealing can lag by up to [backoff_max_us]
-                 (vs. [backoff_base_us] before backoff existed).  We accept
-                 that: a worker only reaches the cap after the pool has been
-                 drained for ~30 poll intervals, and the alternative — the
-                 push path signalling sleepers — would put a syscall or a
-                 contended atomic on the spawn hot path this engine exists to
-                 keep lean.  If sub-millisecond cold-start injection latency
-                 ever matters, lower [backoff_max_us] rather than touching
-                 the push path. *)
+                 Deliberate tradeoff: nothing wakes a sleeping worker when
+                 a resume or a fresh task is pushed elsewhere, or when a
+                 submission lands in the reactor's rings while the pump
+                 owner blocks: pickup of newly injected work via stealing
+                 can lag by up to [backoff_max_us] (vs. [backoff_base_us]
+                 before backoff existed), a resume handed to a non-pump
+                 worker by up to [backoff_base_us], and a fresh intent by
+                 up to one pacing interval — the bound the non-blocking
+                 pass already had.  We accept that: a worker only reaches
+                 the cap after the pool has been drained for ~30 poll
+                 intervals, and the alternative — the push path signalling
+                 sleepers through a wake fd — was measured to cost more
+                 CPU per request than the latency it saves (see
+                 docs/PERFORMANCE.md).  If sub-millisecond cold-start
+                 injection latency ever matters, lower [backoff_max_us]
+                 rather than touching the push path. *)
               let cap =
                 if P.expects_resumes t.pool w then backoff_base_us else backoff_max_us
               in
@@ -391,7 +429,8 @@ module Make (P : POLICY) = struct
                 let hint = Timer.next_deadline_hint t.timer in
                 if hint < infinity then min s (hint -. Unix.gettimeofday ()) else s
               in
-              if s > 0. then Unix.sleepf s else Domain.cpu_relax ()
+              if s <= 0. then Domain.cpu_relax ()
+              else if not (idle_pump t s) then Unix.sleepf s
             end;
             loop (idle_spins + 1)
       end
@@ -586,9 +625,21 @@ module Make (P : POLICY) = struct
      robin) and can only ever start on this pool.  Safe from any thread.
      A sleeping worker picks its inbox up at its next poll — worst case
      the idle-backoff cap (see [help]); submitters needing lower cold-start
-     latency should keep the pool warm. *)
+     latency should keep the pool warm.  Nobody joins a submitted thunk,
+     so an exception escaping it is reported on stderr, like an uncaught
+     exception in a [Thread], and the worker carries on: unwrapped, it
+     would unwind out of [help] and end the worker's domain. *)
   let submit t f =
     if Atomic.get t.stop then invalid_arg (P.label ^ ".submit: pool is shut down");
+    let f () =
+      try f ()
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "%s: submitted task raised uncaught exception %s\n"
+          t.entry.reg_name (Printexc.to_string e);
+        Printexc.print_raw_backtrace stderr bt;
+        flush stderr
+    in
     let wid = Atomic.fetch_and_add t.submit_rr 1 mod Array.length t.submits in
     let inbox = t.submits.(wid) in
     let rec push () =

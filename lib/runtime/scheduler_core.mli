@@ -446,7 +446,10 @@ module Make (P : POLICY) : sig
       worker of {e this} pool.  Safe from any thread, including
       non-workers and other pools' workers.  Latency note: a worker deep
       in idle backoff picks its inbox up at its next poll — up to the
-      backoff cap (1 ms) after a cold start.
+      backoff cap (1 ms) after a cold start.  Nothing joins a submitted
+      thunk, so an exception escaping it is printed with its backtrace
+      to stderr (as for an uncaught exception in a [Thread]) and the
+      worker keeps running.
       @raise Invalid_argument after {!shutdown}. *)
 
   val scavenge_source : t -> scavenge_source

@@ -336,6 +336,41 @@ let test_http_pipeline_order () =
           Http.Client.close cl;
           Http.shutdown ~grace:2. srv))
 
+let test_http_queued_responses_do_not_poll () =
+  (* 32 fast responses queued behind one slow (100 ms) handler on one
+     connection wait for the gap to fill without polling: each waiting
+     writer suspends once, not once per 200 µs.  Polling writers cost
+     about 32 x 500 = 16k suspensions here, and a few hundred of them
+     kept both workers busy enough to starve the handler that would have
+     filled the gap. *)
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      Pl.run p (fun () ->
+          let router =
+            Http.Router.create
+              [
+                Http.Router.route ~meth:"GET" "/slow" (fun _ _ ->
+                    Pl.sleep p 0.1;
+                    Http.text "slow");
+                Http.Router.route ~meth:"GET" "/fast" (fun _ _ -> Http.text "fast");
+              ]
+          in
+          let srv = Http.serve_router (module Pl) p rt loopback0 ~router in
+          let cl = Http.Client.connect (module Pl) p rt (Http.addr srv) in
+          let before = (Pl.stats p).Scheduler_core.suspensions in
+          let slow = Http.Client.call cl ~meth:"GET" ~target:"/slow" () in
+          let fast = List.init 32 (fun _ -> Http.Client.call cl ~meth:"GET" ~target:"/fast" ()) in
+          let bodies = List.map (fun c -> Bytes.to_string (Pl.await p c).Http.Client.body) fast in
+          let suspensions = (Pl.stats p).Scheduler_core.suspensions - before in
+          Alcotest.(check string) "slow body" "slow"
+            (Bytes.to_string (Pl.await p slow).Http.Client.body);
+          Alcotest.(check bool) "every fast body" true (List.for_all (( = ) "fast") bodies);
+          Alcotest.(check bool)
+            (Printf.sprintf "%d suspensions while 32 responses waited 100 ms" suspensions)
+            true (suspensions < 2000);
+          Http.Client.close cl;
+          Http.shutdown ~grace:2. srv))
+
 let test_http_malformed_400_and_close () =
   with_lhws_net (fun p rt ->
       let module Pl = P.Lhws_instance in
@@ -715,5 +750,7 @@ let () =
           Alcotest.test_case "503 drain" `Quick test_http_drain_503;
           Alcotest.test_case "fault storm" `Quick test_http_fault_storm;
           Alcotest.test_case "load counters" `Quick test_http_load_counters;
+          Alcotest.test_case "queued responses do not poll" `Quick
+            test_http_queued_responses_do_not_poll;
         ] );
     ]

@@ -213,6 +213,88 @@ let test_io_pending_stat () =
               Pool.await reader;
               Alcotest.(check int) "gauge drains" 0 (Pool.stats p).Pool.io_pending)))
 
+(* --- the blocking idle pass ---
+
+   With a fiber parked on a pipe nobody writes, an idle pump owner spends
+   its backoff blocked in the readiness pass.  Timers must not wait for
+   it (due pool-timer entries are fired outside the pump election, and
+   the owner's wait is clamped to the next deadline and one pacing
+   interval), and a descriptor made ready from outside the pool — here by
+   a plain thread — must wake it. *)
+let blocking_pass_serves ~workers () =
+  Pool.with_pool ~workers (fun p ->
+      let io = Io.create () in
+      Pool.register_poller p (fun () -> Io.poll io);
+      let idle_r, idle_w = Unix.pipe ~cloexec:true () in
+      let r, w = Unix.pipe ~cloexec:true () in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close [ idle_r; idle_w; r; w ])
+        (fun () ->
+          let sleeps, got, resumed_after =
+            Pool.run p (fun () ->
+                let idle =
+                  Pool.async p (fun () ->
+                      let buf = Bytes.create 1 in
+                      Io.read io idle_r buf 0 1)
+                in
+                let sleeper =
+                  Pool.async p (fun () ->
+                      let t0 = Unix.gettimeofday () in
+                      for _ = 1 to 200 do
+                        Pool.sleep p 0.0005
+                      done;
+                      Unix.gettimeofday () -. t0)
+                in
+                let reader =
+                  Pool.async p (fun () ->
+                      let buf = Bytes.create 1 in
+                      let n = Io.read io r buf 0 1 in
+                      (n, Bytes.get buf 0, Unix.gettimeofday ()))
+                in
+                let sleeps = Pool.await sleeper in
+                let written_at = ref 0. in
+                let th =
+                  Thread.create
+                    (fun () ->
+                      Unix.sleepf 0.01;
+                      written_at := Unix.gettimeofday ();
+                      ignore (Unix.write_substring w "q" 0 1 : int))
+                    ()
+                in
+                let n, c, at = Pool.await reader in
+                Thread.join th;
+                (* release the idle reader so the run can end *)
+                ignore (Unix.write_substring idle_w "." 0 1 : int);
+                ignore (Pool.await idle : int);
+                (sleeps, (n, c), at -. !written_at))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "200 x 0.5 ms sleeps took %.3fs" sleeps)
+            true
+            (sleeps >= 0.1 && sleeps < 2.0);
+          Alcotest.(check (pair int char)) "reader got the thread's byte" (1, 'q') got;
+          Alcotest.(check bool)
+            (Printf.sprintf "reader resumed %.1f ms after the write" (resumed_after *. 1e3))
+            true (resumed_after < 0.5)))
+
+let test_poll_single_us_timeout () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let v = Io.poll_single `R r ~timeout_us:200 in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "idle pipe times out" true (v = `Timeout);
+      Alcotest.(check bool)
+        (Printf.sprintf "waited %.0f us, not less than the timeout" (dt *. 1e6))
+        true (dt >= 0.00019);
+      ignore (Unix.write_substring w "x" 0 1 : int);
+      Alcotest.(check bool) "a ready pipe is ready" true
+        (Io.poll_single `R r ~timeout_us:(-1) = `Ready))
+
 let () =
   Alcotest.run "io"
     [
@@ -229,5 +311,14 @@ let () =
           Alcotest.test_case "fd error surfaces to parked writer" `Quick
             (fd_error_surfaces `W);
           Alcotest.test_case "io_pending stats gauge" `Quick test_io_pending_stat;
+        ] );
+      ( "blocking pass",
+        [
+          Alcotest.test_case "timers and a thread's write, one worker" `Quick
+            (blocking_pass_serves ~workers:1);
+          Alcotest.test_case "timers and a thread's write, two workers" `Quick
+            (blocking_pass_serves ~workers:2);
+          Alcotest.test_case "poll_single microsecond timeout" `Quick
+            test_poll_single_us_timeout;
         ] );
     ]

@@ -350,6 +350,25 @@ let test_with_pool_propagates_and_shuts_down () =
           ignore (Pool.run p (fun () -> 1));
           failwith "body"))
 
+let test_raising_submit_keeps_worker () =
+  (* Nobody joins a submitted thunk, so one that raises must not take its
+     worker down: the exception is reported (on stderr) and the worker
+     keeps scheduling.  Round robin puts the second submission on worker
+     1, a spawned domain that runs without [run]. *)
+  let p = Pool.create ~workers:2 () in
+  Pool.submit p (fun () -> ());
+  Pool.submit p (fun () -> failwith "boom on worker 1");
+  (* Worker 1 drains its inbox within one idle backoff (<= 1 ms). *)
+  Unix.sleepf 0.02;
+  let before = (Pool.heartbeats p).(1) in
+  Unix.sleepf 0.05;
+  let after = (Pool.heartbeats p).(1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "worker 1 still loops (heartbeats %d -> %d)" before after)
+    true (after > before);
+  Pool.shutdown p;
+  Alcotest.(check pass) "shutdown returns normally" () ()
+
 let test_shutdown_timely () =
   (* Domains with nothing to do are spinning thieves; shutdown must not
      wait on timers or sleeps to stop them. *)
@@ -399,5 +418,7 @@ let () =
           Alcotest.test_case "with_pool on body exception" `Quick
             test_with_pool_propagates_and_shuts_down;
           Alcotest.test_case "shutdown is timely" `Quick test_shutdown_timely;
+          Alcotest.test_case "raising submit keeps its worker" `Quick
+            test_raising_submit_keeps_worker;
         ] );
     ]

@@ -13,8 +13,10 @@
    - the mutation check: a completion dropped on the floor (the bug the
      chaos hook simulates) is *detected* — every racing deadline fires,
      the gauge sticks while parked — rather than hanging the suite;
-   - the vectored-I/O shim delivers exact byte streams for multi-buffer
-     vectors, and its drop/take algebra holds. *)
+   - vectored writes deliver exact byte streams for multi-buffer
+     vectors — more than one writev(2) call's worth of buffers included —
+     a full non-blocking socket answers EAGAIN so the write parks, and
+     the drop/take algebra holds. *)
 
 open Lhws_runtime
 module P = Lhws_workloads.Pool_intf
@@ -283,6 +285,82 @@ let test_writev_wire () =
       Alcotest.(check string) "vectors arrive intact and in order" expect
         (Bytes.to_string buf))
 
+(* Read exactly [len] bytes from a non-blocking descriptor, napping on
+   EAGAIN (the test thread is not a pool worker). *)
+let read_exact fd len =
+  let buf = Bytes.create len in
+  let rec go pos =
+    if pos < len then
+      match Unix.read fd buf pos (len - pos) with
+      | 0 -> Alcotest.fail "peer closed early"
+      | n -> go (pos + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Unix.sleepf 0.001;
+          go pos
+  in
+  go 0;
+  Bytes.to_string buf
+
+let test_writev_full_socket_parks () =
+  with_rt (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let ((a, b) as pair) = socketpair () in
+      Fun.protect ~finally:(fun () -> close_both pair) @@ fun () ->
+      let v = [ Bytes.make 3000 'x'; Bytes.make 1000 'y' ] in
+      let rec fill total =
+        match Io.Iov.write ~nonblocking:true a v with
+        | n -> fill (total + n)
+        | exception Unix.Unix_error (Unix.EAGAIN, "writev", _) -> total
+      in
+      let filled = fill 0 in
+      Alcotest.(check bool) "the socket filled up" true (filled > 0);
+      Alcotest.check_raises "a full socket answers EAGAIN"
+        (Unix.Unix_error (Unix.EAGAIN, "writev", "")) (fun () ->
+          ignore (Io.Iov.write ~nonblocking:true a v : int));
+      (* So [run_io] parks the write until the peer drains. *)
+      let writer =
+        Pl.async p (fun () ->
+            Reactor.run_io rt `Writable a ~exec:(fun () ->
+                Io.Iov.write ~nonblocking:true a v))
+      in
+      Pl.sleep p 0.02;
+      Alcotest.(check int) "the write is parked" 1
+        (Pl.stats p).Scheduler_core.io_pending;
+      ignore (read_exact b filled : string);
+      let n = Pl.await p writer in
+      Alcotest.(check bool) "the parked write went out" true (n > 0 && n <= 4000);
+      Alcotest.(check bool) "io_pending drains" true (drained p))
+
+let test_writev_many_buffers () =
+  with_rt (fun _p rt ->
+      let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.set_nonblock a;
+      let conn = Conn.create rt b in
+      Fun.protect
+        ~finally:(fun () ->
+          Conn.close conn;
+          try Unix.close a with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      (* 300 distinct buffers: several writev(2) calls' worth (at most 64
+         each), and ~600 KB, more than the socket holds, so the write
+         also parks and resumes on the short-write path. *)
+      let bufs =
+        List.init 300 (fun i ->
+            Bytes.of_string
+              (Printf.sprintf "<%03d>" i ^ String.make 2000 (Char.chr (97 + (i mod 26)))))
+      in
+      let expect = String.concat "" (List.map Bytes.to_string bufs) in
+      (* The peer reads from a plain thread, so the pool's workers stay
+         free to pump the parked write. *)
+      let got = ref "" in
+      let reader =
+        Thread.create (fun () -> got := read_exact a (String.length expect)) ()
+      in
+      Conn.writev_all conn bufs;
+      Thread.join reader;
+      Alcotest.(check int) "every byte arrived" (String.length expect) (String.length !got);
+      Alcotest.(check bool) "in order" true (String.equal expect !got))
+
 let () =
   Alcotest.run "reactor"
     [
@@ -310,5 +388,9 @@ let () =
         [
           Alcotest.test_case "iov drop/take algebra" `Quick test_iov_algebra;
           Alcotest.test_case "writev frames arrive intact" `Quick test_writev_wire;
+          Alcotest.test_case "full socket: EAGAIN, then the write parks" `Quick
+            test_writev_full_socket_parks;
+          Alcotest.test_case "more than 64 buffers arrive in order" `Quick
+            test_writev_many_buffers;
         ] );
     ]

@@ -143,7 +143,7 @@ let map_reduce profile =
    request under the same closed-loop echo load as NET1.  Three things
    keep the count low: eager completion keeps non-blocking ops out of
    the reactor, the pump paces its readiness passes instead of polling
-   on every worker idle loop, and Rpc's combining outbox coalesces
+   on every worker idle loop, and the connection's Outbox coalesces
    pipelined frames into single gathering writes.  The bar is absolute:
    the wait-then-retry reactor this path replaced spent 10.19
    syscalls/op at smoke size, and 4.35 is that figure divided by the

@@ -152,9 +152,13 @@ let steal d =
    classical Chase-Lev steal is safe precisely because its CAS protects
    only index [t] — the one slot the owner can never plain-take.  So a
    correct batch over this deque reserves each element with its own CAS
-   (as crossbeam's steal_batch does for LIFO workers); the win over k
-   calls to [steal] is one victim scan, one [bottom] read, and no
-   re-entry into victim selection between elements, not fewer CASes.
+   (as crossbeam's steal_batch does for LIFO workers), and re-reads
+   [bottom] before each one: the owner may have plain-taken slot [t+i]
+   after the batch began, having read [top] before the CAS that moved
+   it to [t+i].  The previous CAS stands in for [steal]'s read of
+   [top], so each element follows [steal]'s top-bottom-CAS order.  The
+   win over k calls to [steal] is one victim scan and no re-entry into
+   victim selection between elements, not fewer CASes or reads.
    The broken single-CAS variant is kept in the mutation suite
    (test/prop/test_stress.ml) as proof the stress battery catches it.
 
@@ -174,7 +178,7 @@ let steal_half d f =
   else begin
     let want = (n + 1) / 2 in
     let rec go i =
-      if i >= want then i
+      if i >= want || t + i >= Atomic.get d.bottom then i
       else begin
         let buf = Atomic.get d.buf in
         let x = buffer_get buf (t + i) in

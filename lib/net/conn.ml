@@ -58,7 +58,6 @@ let create rt ?read_timeout ?write_timeout fd =
 let fd t = t.fd
 let is_closed t = Atomic.get t.closed
 let last_active t = t.last_active
-let batched t = Reactor.is_fibers t.rt
 
 (* Drop one reference; the last one out actually closes the fd.  The
    [fd_closed] CAS keeps a late arrival (an [enter] that raced past a
@@ -218,7 +217,7 @@ let writev_all t iovs =
     in
     (* Fiber mode set the descriptor non-blocking in [create], so its
        writes take the copy-free writev. *)
-    let nonblocking = batched t in
+    let nonblocking = Reactor.is_fibers t.rt in
     apply_verdict owed "write" v (fun v ->
         match v with
         | Fault.Short cap -> Iov.write ~nonblocking t.fd (Iov.take !rem (max 1 cap))

@@ -17,11 +17,6 @@ val create :
 
 val fd : t -> Unix.file_descr
 
-val batched : t -> bool
-(** Whether the underlying reactor is in fiber mode, i.e. runs the
-    batched submission/completion path (see {!Reactor.is_fibers});
-    {!Rpc} keys its frame-coalescing writes off this. *)
-
 val read : t -> bytes -> int -> int -> int
 (** Returns 0 at end of file (a reset peer reads as EOF).
     @raise Net.Timeout when [read_timeout] expires first.

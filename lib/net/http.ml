@@ -507,9 +507,9 @@ let reserved_header = function
   | "date" | "content-length" | "connection" -> true
   | _ -> false
 
-(* Header block + body as an iov: the ordered outbox hands batches of
-   these to one [Conn.writev_all], so a burst of pipelined responses
-   costs one gathering syscall. *)
+(* Header block + body as an iov: the {!Outbox} hands batches of these
+   to one [Conn.writev_all], so a burst of pipelined responses costs one
+   gathering syscall. *)
 let serialize ?(head_only = false) ~keep_alive r =
   let b = Buffer.create 256 in
   let reason = if r.reason = "" then reason_phrase r.status else r.reason in
@@ -535,110 +535,6 @@ let serialize ?(head_only = false) ~keep_alive r =
   Buffer.add_string b "\r\n\r\n";
   let head = Buffer.to_bytes b in
   if head_only || Bytes.length r.resp_body = 0 then [ head ] else [ head; r.resp_body ]
-
-(* ------------------------------------------------------------------ *)
-(* The request-ordered combining outbox                               *)
-(* ------------------------------------------------------------------ *)
-
-(* {!Rpc}'s outbox flushes in completion order — correct there because
-   request ids let the client demultiplex.  HTTP/1.1 has no ids:
-   pipelined responses must leave in request order.  So instead of a
-   stack, completed responses land in a slot table keyed by the
-   sequence number their request was decoded with, and the flusher
-   walks [next_send] upward, coalescing every {e consecutive} ready
-   response into one vectored write.  A response finishing ahead of a
-   still-running earlier handler parks in the table until the gap
-   fills.  Its writer waits on a one-shot promise that the flusher
-   settles when the batch holding the response is written or fails, so
-   flush failures reach exactly the writers whose frames were in the
-   failed batch and no frame is ever abandoned.
-
-   Writers must not poll (sleep and re-check): a few hundred pollers
-   behind one slow handler make enough timer wake-ups to keep every
-   worker busy, and the handler that would fill the gap then waits
-   unrun at the old end of a deque — the connection never recovers. *)
-
-type oentry = { iov : Bytes.t list; sent : unit Promise.t; close_after : bool }
-
-type ordered_outbox = {
-  mu : Mutex.t;  (* guards [ready] + [next_send]; never held across I/O *)
-  ready : (int, oentry) Hashtbl.t;
-  mutable next_send : int;
-  next_seq : int Atomic.t;
-  flushing : bool Atomic.t;  (* thread-agnostic: holder may park mid-writev *)
-  await : unit Promise.t -> unit;
-}
-
-let make_oob await =
-  {
-    mu = Mutex.create ();
-    ready = Hashtbl.create 16;
-    next_send = 0;
-    next_seq = Atomic.make 0;
-    flushing = Atomic.make false;
-    await;
-  }
-
-let alloc_seq ob = Atomic.fetch_and_add ob.next_seq 1
-
-let rec flush_oob ob conn =
-  Mutex.lock ob.mu;
-  let rec collect acc n =
-    match Hashtbl.find_opt ob.ready n with
-    | Some e ->
-        Hashtbl.remove ob.ready n;
-        collect (e :: acc) (n + 1)
-    | None -> (List.rev acc, n)
-  in
-  let batch, n' = collect [] ob.next_send in
-  ob.next_send <- n';
-  Mutex.unlock ob.mu;
-  match batch with
-  | [] -> ()
-  | batch ->
-      (match Conn.writev_all conn (List.concat_map (fun e -> e.iov) batch) with
-      | () ->
-          List.iter (fun e -> Promise.fulfill e.sent (Ok ())) batch;
-          (* [Connection: close] takes effect only after the bytes are
-             out; anything sequenced after it fails with Net.Closed on
-             the next pass. *)
-          if List.exists (fun e -> e.close_after) batch then Conn.close conn
-      | exception ex ->
-          List.iter (fun e -> Promise.fulfill e.sent (Error ex)) batch;
-          Conn.close conn);
-      flush_oob ob conn
-
-let next_is_ready ob =
-  Mutex.lock ob.mu;
-  let ready = Hashtbl.mem ob.ready ob.next_send in
-  Mutex.unlock ob.mu;
-  ready
-
-(* Flush if nobody else is.  A writer that finds the flag taken leaves
-   its entry to the holder, so the holder looks once more after putting
-   the flag down: an entry inserted after its last collect, whose writer
-   saw the flag still up, is flushed then instead of being stranded. *)
-let rec try_flush ob conn =
-  if Atomic.compare_and_set ob.flushing false true then begin
-    (match flush_oob ob conn with
-    | () -> Atomic.set ob.flushing false
-    | exception ex ->
-        Atomic.set ob.flushing false;
-        raise ex);
-    if next_is_ready ob then try_flush ob conn
-  end
-
-(* Waits (through the pool's [await]) until this sequence slot's bytes
-   are on the wire or the write failed.  Raising on failure lets the
-   caller treat an unwritable response like Rpc does: the peer is owed
-   bytes it will never get, so the connection must die. *)
-let send_ordered ob conn ~seq iov ~close_after =
-  let e = { iov; sent = Promise.create (); close_after } in
-  Mutex.lock ob.mu;
-  Hashtbl.replace ob.ready seq e;
-  Mutex.unlock ob.mu;
-  try_flush ob conn;
-  ob.await e.sent
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                             *)
@@ -861,7 +757,7 @@ let oldest_pending_age s = gauge_oldest_age s.s_gauge
 
 (* One connection's serve loop: decode requests with the incremental
    parser, hand each to the pool through its dispatcher, and sequence
-   responses through the ordered outbox.  The loop itself runs as the
+   responses through the {!Outbox}.  The loop itself runs as the
    listener's per-connection task on the serving pool; handlers go
    wherever [route] says (default dispatcher, or a route's own — the
    topology pinning seam). *)
@@ -871,18 +767,19 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
     Parser.create ~max_header_bytes:cfg.max_header_bytes
       ~max_body_bytes:cfg.max_body_bytes ()
   in
-  let ob = make_oob (P.await pool) in
-  let outstanding = Atomic.make 0 in
+  let ob = Outbox.create ~await:(P.await pool) conn in
+  let outstanding = Outbox.Counter.create () in
+  let wait_until = Outbox.Counter.wait outstanding ~await:(P.await pool) in
   let stop = ref false in
   let chunk = Bytes.create 8192 in
   let submit ~seq ~head_only ~keep_alive resp =
     let iov = serialize ~head_only ~keep_alive resp in
-    (try send_ordered ob conn ~seq iov ~close_after:(not keep_alive)
+    (try Outbox.send_at ob ~seq ~close_after:(not keep_alive) iov
      with Net.Closed | Net.Timeout | Unix.Unix_error _ -> Conn.close conn);
     Atomic.incr st.s_served
   in
   let handle (req : request) =
-    let seq = alloc_seq ob in
+    let seq = Outbox.reserve ob in
     let head_only = req.meth = "HEAD" in
     if Atomic.get st.s_draining then begin
       (* Drain: answer, announce the close, stop decoding. *)
@@ -919,13 +816,13 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
         match dispatch_override with Some d -> d | None -> default_dispatch
       in
       let gid = gauge_admit st.s_gauge in
-      Atomic.incr outstanding;
+      Outbox.Counter.incr outstanding;
       Atomic.incr st.s_inflight;
       dispatch (fun () ->
           Fun.protect
             ~finally:(fun () ->
               gauge_finish st.s_gauge gid;
-              Atomic.decr outstanding;
+              Outbox.Counter.decr outstanding;
               Atomic.decr st.s_inflight)
             (fun () ->
               let resp =
@@ -938,19 +835,20 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
     end
   in
   let step () =
+    (* The limit bounds dispatched handlers, not reads: a request is
+       taken out of the parser only below it, and the bytes of later
+       ones wait there. *)
+    wait_until (fun n -> n < cfg.max_pipeline);
     match Parser.next parser with
     | Parser.Request req -> handle req
     | Parser.Failed err ->
         (* Poisoned stream: answer with the parse error's status and
            close — never leave the peer hanging, never keep reading. *)
-        let seq = alloc_seq ob in
+        let seq = Outbox.reserve ob in
         submit ~seq ~head_only:false ~keep_alive:false
           (text ~status:err.Parser.status (err.Parser.reason ^ "\n"));
         stop := true
     | Parser.Need_more -> (
-        while Atomic.get outstanding >= cfg.max_pipeline do
-          P.sleep pool 0.0002
-        done;
         match Conn.read conn chunk 0 (Bytes.length chunk) with
         | 0 -> stop := true  (* EOF; a partial request has no one to answer *)
         | n -> Parser.feed parser ~len:n chunk
@@ -960,7 +858,7 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
               stop := true
             else begin
               (* The peer stalled mid-request: tell it before closing. *)
-              let seq = alloc_seq ob in
+              let seq = Outbox.reserve ob in
               submit ~seq ~head_only:false ~keep_alive:false
                 (text ~status:408 "request timeout\n");
               stop := true
@@ -974,9 +872,7 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
   (* The listener closes the conn the moment we return; in-flight
      handlers still owe responses — wait them out (each one's [submit]
      resolves even on failure, so this terminates). *)
-  while Atomic.get outstanding > 0 do
-    P.sleep pool 0.0002
-  done
+  wait_until (fun n -> n = 0)
 
 let serve_gen (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
     ?(config = default_config) ?dispatch addr ~route =
@@ -1206,10 +1102,9 @@ module Client = struct
     rb : rdbuf;
     q_mu : Mutex.t;
     q : entry Queue.t;
-    wl : bool Atomic.t;  (* write lock: thread-agnostic, see Rpc.wlock *)
-    sleep : unit -> unit;
+    ob : Outbox.t;
     closed : bool Atomic.t;
-    demux_done : bool Atomic.t;
+    mutable await_demux : unit -> unit;  (* set once, before [connect] returns *)
   }
 
   let pop_entry c =
@@ -1277,18 +1172,13 @@ module Client = struct
         rb = make_rdbuf conn;
         q_mu = Mutex.create ();
         q = Queue.create ();
-        wl = Atomic.make false;
-        sleep = (fun () -> P.sleep pool 0.0002);
+        ob = Outbox.create ~await:(P.await pool) conn;
         closed = Atomic.make false;
-        demux_done = Atomic.make false;
+        await_demux = ignore;
       }
     in
-    ignore
-      (P.async pool (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.set c.demux_done true)
-             (fun () -> demux c))
-        : unit Promise.t);
+    let task = P.async pool (fun () -> demux c) in
+    c.await_demux <- (fun () -> P.await pool task);
     c
 
   let request_iov ?(headers = []) ?body ~meth ~target () =
@@ -1321,33 +1211,26 @@ module Client = struct
     | _ -> [ head ]
 
   (* The wire order of requests must equal the FIFO order of promises —
-     that is the whole demultiplexing scheme — so the enqueue and the
-     write happen under one lock, held across the (possibly parking)
-     write.  Thread-agnostic flag lock, as everywhere a fiber can
-     migrate workers mid-critical-section. *)
+     that is the whole demultiplexing scheme — so the request takes its
+     outbox sequence number and its queue slot under one lock; the
+     outbox then writes in sequence order, and no lock is held across
+     the write.  Nothing between [reserve] and [send_at] can raise, so
+     no number is left without a frame.  A call that races a teardown
+     and lands in the queue after its drain fails its own write (the
+     conn is closed) and drains the queue again. *)
   let call c ?headers ?body ~meth ~target () =
     if Atomic.get c.closed then raise Net.Closed;
     let iov = request_iov ?headers ?body ~meth ~target () in
     let p = Promise.create () in
     let entry = { e_promise = p; e_head_only = meth = "HEAD" } in
-    let rec acquire () =
-      if not (Atomic.compare_and_set c.wl false true) then begin
-        c.sleep ();
-        acquire ()
-      end
-    in
-    acquire ();
-    Fun.protect
-      ~finally:(fun () -> Atomic.set c.wl false)
-      (fun () ->
-        if Atomic.get c.closed then raise Net.Closed;
-        Mutex.lock c.q_mu;
-        Queue.push entry c.q;
-        Mutex.unlock c.q_mu;
-        try Conn.writev_all c.conn iov
-        with e ->
-          fail_conn c e;
-          raise e);
+    Mutex.lock c.q_mu;
+    let seq = Outbox.reserve c.ob in
+    Queue.push entry c.q;
+    Mutex.unlock c.q_mu;
+    (try Outbox.send_at c.ob ~seq iov
+     with e ->
+       fail_conn c e;
+       raise e);
     p
 
   let close c =
@@ -1355,9 +1238,7 @@ module Client = struct
       Conn.close c.conn;
       fail_all c Net.Closed
     end;
-    while not (Atomic.get c.demux_done) do
-      c.sleep ()
-    done
+    c.await_demux ()
 
   let call_sync conn ?headers ?body ~meth ~target () =
     Conn.writev_all conn (request_iov ?headers ?body ~meth ~target ());

@@ -17,10 +17,9 @@
       413 / 431 / 501 / 505) instead of an exception or a hang.
     - {!serve} / {!Router}: each parsed request is dispatched as a pool
       task; responses are serialized {e in request order} through a
-      per-connection outbox that coalesces whatever is ready into one
-      vectored write (the {!Rpc} combining-outbox idiom, plus
-      ordering), so pipelined clients get correct ordering and the
-      server pays ~one gathering syscall for a burst of responses.
+      per-connection {!Outbox} that coalesces whatever is ready into
+      one vectored write, so pipelined clients get correct ordering and
+      the server pays ~one gathering syscall for a burst of responses.
       Routes can carry their own dispatcher, which is how a
       {!Lhws_workloads.Topology} pins a compute route to the batch
       micropool while I/O routes stay on the latency pool.
@@ -154,9 +153,9 @@ type config = {
   max_header_bytes : int;
   max_body_bytes : int;
   max_pipeline : int;
-      (** per-connection cap on decoded-but-unanswered requests; past
-          it the connection stops being read, so backpressure reaches
-          the peer through TCP (same idiom as {!Rpc}) *)
+      (** per-connection cap on dispatched-but-unanswered requests; at
+          it no request leaves the parser and the connection is not
+          read, so backpressure reaches the peer through TCP *)
   shed_above : int option;
       (** server-wide in-flight request high-water mark: at/above it
           new requests are answered 503 without dispatching *)

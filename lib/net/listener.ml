@@ -35,7 +35,7 @@ type state = {
   cfg : config;
   rt : Reactor.t;
   stop : bool Atomic.t;
-  live : int Atomic.t;
+  live : Outbox.Counter.t;
   accepted : int Atomic.t;
   shed : int Atomic.t;
   conns_mu : Mutex.t;
@@ -124,7 +124,7 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       cfg = config;
       rt;
       stop = Atomic.make false;
-      live = Atomic.make 0;
+      live = Outbox.Counter.create ();
       accepted = Atomic.make 0;
       shed = Atomic.make 0;
       conns_mu = Mutex.create ();
@@ -137,7 +137,7 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
   let spawn_handler fd =
     let c = Conn.create rt ?read_timeout:config.read_timeout ?write_timeout:config.write_timeout fd in
     let id = Atomic.fetch_and_add s.next_id 1 in
-    Atomic.incr s.live;
+    Outbox.Counter.incr s.live;
     Atomic.incr s.accepted;
     add_conn s id c;
     dispatch (fun () ->
@@ -145,7 +145,7 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
           ~finally:(fun () ->
             remove_conn s id;
             Conn.close c;
-            Atomic.decr s.live)
+            Outbox.Counter.decr s.live)
           (fun () ->
             try handler c
             with Net.Closed | Net.Timeout | Net.Peer_closed | End_of_file -> ()))
@@ -157,16 +157,18 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
      holds arrivals in the kernel backlog as before. *)
   let shed_now () =
     (match config.shed_above with
-    | Some hw -> Atomic.get s.live >= hw
+    | Some hw -> Outbox.Counter.get s.live >= hw
     | None -> false)
     || (match config.shed_pred with Some pred -> pred () | None -> false)
   in
+  (* At the [max_conns] gate the acceptor waits for a handler's exit (or
+     for [shutdown]) to wake it.  [shed_pred] is re-read only on those
+     wake-ups, so arrivals that come while the gate is shut wait in the
+     backlog until the next exit even if the predicate turns true. *)
   let rec accept_loop () =
+    Outbox.Counter.wait s.live ~await:(P.await pool) (fun live ->
+        live < config.max_conns || Atomic.get s.stop || shed_now ());
     if Atomic.get s.stop then ()
-    else if (not (shed_now ())) && Atomic.get s.live >= config.max_conns then begin
-      P.sleep pool 0.0005;
-      accept_loop ()
-    end
     else
       match accept_one s with
       | None -> ()
@@ -207,7 +209,7 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
   L ((module P), pool, s)
 
 let addr (L (_, _, s)) = s.bound
-let live (L (_, _, s)) = Atomic.get s.live
+let live (L (_, _, s)) = Outbox.Counter.get s.live
 let accepted (L (_, _, s)) = Atomic.get s.accepted
 let shed (L (_, _, s)) = Atomic.get s.shed
 
@@ -224,6 +226,7 @@ let wake_acceptor s =
 let shutdown ?(grace = 5.) (L ((module P), pool, s)) =
   if Atomic.compare_and_set s.stop false true then begin
     let tick = 0.002 in
+    Outbox.Counter.wake s.live;
     wake_acceptor s;
     while not (Atomic.get s.acceptor_done && Atomic.get s.reaper_done) do
       P.sleep pool tick
@@ -231,14 +234,14 @@ let shutdown ?(grace = 5.) (L ((module P), pool, s)) =
     (try Unix.close s.listen_fd with Unix.Unix_error _ -> ());
     (* Drain: give in-flight handlers [grace] seconds to finish... *)
     let waited = ref 0. in
-    while Atomic.get s.live > 0 && !waited < grace do
+    while Outbox.Counter.get s.live > 0 && !waited < grace do
       P.sleep pool tick;
       waited := !waited +. tick
     done;
     (* ...then force the stragglers: closing wakes their parked waits,
        the handler observes Net.Closed / EOF and unwinds. *)
     List.iter Conn.close (conns_snapshot s);
-    while Atomic.get s.live > 0 do
+    while Outbox.Counter.get s.live > 0 do
       P.sleep pool tick
     done
   end

@@ -76,4 +76,5 @@ val shutdown : ?grace:float -> t -> unit
 (** Graceful stop: stop accepting, wait up to [grace] seconds (default
     5) for live handlers to drain, then force-close the stragglers and
     wait for their handlers to unwind.  Idempotent.  Must be called from
-    within a task of the same pool ([P.sleep] paces the waits). *)
+    within a task of the same pool: the drain is a deadline wait in
+    [P.sleep] ticks, while a gated acceptor is woken at once. *)

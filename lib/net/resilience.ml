@@ -1,4 +1,5 @@
 module Pool_intf = Lhws_workloads.Pool_intf
+module Promise = Lhws_runtime.Promise
 
 (* --- circuit breaker --- *)
 
@@ -224,11 +225,11 @@ module Client = struct
     breaker : Breaker.t option;
     read_timeout : float option;
     write_timeout : float option;
-    (* Same thread-agnostic lock idiom as Rpc's wlock: the holder may
-       suspend (dialing, or racing a close) and resume on another
-       worker, so an OS mutex cannot guard [cur]. *)
-    lock : bool Atomic.t;
-    mutable cur : Rpc.Client.t option;
+    (* Single flight: the first caller to find the slot empty installs
+       a promise and dials; later callers await that promise.  A failed
+       dial clears the slot before it fulfils [Error], so the retry that
+       follows dials afresh. *)
+    slot : Rpc.Client.t Promise.t option Atomic.t;
     reconnect_count : int Atomic.t;
     dialed_once : bool Atomic.t;
     closed : bool Atomic.t;
@@ -249,50 +250,59 @@ module Client = struct
           breaker;
           read_timeout;
           write_timeout;
-          lock = Atomic.make false;
-          cur = None;
+          slot = Atomic.make None;
           reconnect_count = Atomic.make 0;
           dialed_once = Atomic.make false;
           closed = Atomic.make false;
         } )
 
-  let with_lock st f =
-    let rec acquire () =
-      if not (Atomic.compare_and_set st.lock false true) then begin
-        st.pool_sleep 0.0002;
-        acquire ()
-      end
-    in
-    acquire ();
-    Fun.protect ~finally:(fun () -> Atomic.set st.lock false) f
-
   (* Reuse the live connection or dial a fresh one.  Dial failures
      (ECONNREFUSED and friends) escape to the retry loop as ordinary
-     retryable attempt failures. *)
+     retryable attempt failures.  The dialer re-reads [closed] after
+     publishing its promise and [close] empties the slot after setting
+     [closed], so either the dialer sees the close and gives up, or
+     [close] finds the promise and closes what it yields. *)
   let acquire_client (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) st
       =
-    with_lock st (fun () ->
-        if Atomic.get st.closed then raise Net.Closed;
-        match st.cur with
-        | Some cl -> cl
-        | None ->
-            let cl =
+    let rec go () =
+      if Atomic.get st.closed then raise Net.Closed;
+      match Atomic.get st.slot with
+      | Some p -> P.await pool p
+      | None ->
+          let p = Promise.create () in
+          let slot = Some p in
+          if not (Atomic.compare_and_set st.slot None slot) then go ()
+          else
+            let give_up e =
+              ignore (Atomic.compare_and_set st.slot slot None);
+              Promise.fulfill p (Error e);
+              raise e
+            in
+            if Atomic.get st.closed then give_up Net.Closed;
+            match
               Rpc.Client.connect (module P) pool st.rt ?read_timeout:st.read_timeout
                 ?write_timeout:st.write_timeout st.addr
-            in
-            if Atomic.get st.dialed_once then Atomic.incr st.reconnect_count
-            else Atomic.set st.dialed_once true;
-            st.cur <- Some cl;
-            cl)
+            with
+            | exception e -> give_up e
+            | cl ->
+                if Atomic.get st.dialed_once then Atomic.incr st.reconnect_count
+                else Atomic.set st.dialed_once true;
+                Promise.fulfill p (Ok cl);
+                cl
+    in
+    go ()
 
   (* The connection just failed a call: drop it so the next attempt
-     dials fresh.  Guarded so concurrent failures on the same client
-     drop it once, and a client installed by a faster retry survives. *)
+     dials fresh.  The slot is cleared only while it still holds [cl],
+     so concurrent failures on the same client drop it once, and a
+     client installed by a faster retry survives. *)
   let drop_client st cl =
-    with_lock st (fun () ->
-        match st.cur with
-        | Some c when c == cl -> st.cur <- None
-        | _ -> ());
+    (match Atomic.get st.slot with
+    | Some p as cur -> (
+        match Promise.poll p with
+        | Some (Ok c) when c == cl -> ignore (Atomic.compare_and_set st.slot cur None)
+        | _ -> ())
+    | None -> ());
     Rpc.Client.close cl
 
   let call (C ((module P), pool, st)) payload =
@@ -305,14 +315,14 @@ module Client = struct
             if st.policy.Retry.retryable e then drop_client st cl;
             raise e)
 
-  let close (C (_, _, st)) =
+  let close (C ((module P), pool, st)) =
     if Atomic.compare_and_set st.closed false true then
-      let cl = with_lock st (fun () ->
-          let c = st.cur in
-          st.cur <- None;
-          c)
-      in
-      Option.iter Rpc.Client.close cl
+      match Atomic.exchange st.slot None with
+      | Some p -> (
+          match P.await pool p with
+          | cl -> Rpc.Client.close cl
+          | exception _ -> ())
+      | None -> ()
 
   let reconnects (C (_, _, st)) = Atomic.get st.reconnect_count
 end

@@ -9,88 +9,6 @@ module Promise = Lhws_runtime.Promise
 
 let max_frame = 8 * 1024 * 1024
 
-(* Frame writes must be atomic even though responses (and pipelined
-   requests) come from many concurrent tasks.  An OS mutex cannot protect
-   the write: the holder can park mid-write (EAGAIN -> reactor wait) and
-   its continuation is re-injected as a stealable task, so the fiber may
-   resume — and unlock — on a different worker thread, which the
-   error-checking [Mutex.unlock] rejects.  Instead the lock is a
-   thread-agnostic atomic flag: claimed by compare-and-set, released by a
-   plain set (valid from any thread), with the pool's sleep as the yield
-   so a spinning worker keeps scheduling other tasks. *)
-type wlock = { locked : bool Atomic.t; sleep : unit -> unit }
-
-let make_wlock sleep = { locked = Atomic.make false; sleep }
-
-let with_wlock l f =
-  let rec acquire () =
-    if not (Atomic.compare_and_set l.locked false true) then begin
-      l.sleep ();
-      acquire ()
-    end
-  in
-  acquire ();
-  Fun.protect ~finally:(fun () -> Atomic.set l.locked false) f
-
-(* --- the combining outbox ---
-
-   On a fiber reactor, frame atomicity comes from a combining queue
-   instead of serialized whole-frame writes: a writer pushes its frame
-   (an iov, no copy) onto a Treiber stack and whichever writer claims
-   the lock flushes {e everything} queued as a single [Conn.writev_all]
-   — so [k] concurrent responses (or pipelined requests) cost one
-   gathering syscall, not [k].  Each frame carries its own outcome cell;
-   a writer loops — claim the lock and flush, or sleep — until its cell
-   resolves, so no frame is ever abandoned and a flush failure reaches
-   exactly the writers whose frames were in that batch. *)
-
-type fstate = Fpending | Fdone | Ffailed of exn
-
-type outbox = {
-  q : (Bytes.t list * fstate Atomic.t) list Atomic.t;  (* push order reversed *)
-  wl : wlock;
-}
-
-let make_outbox sleep = { q = Atomic.make []; wl = make_wlock sleep }
-
-let flush_outbox ob conn =
-  match List.rev (Atomic.exchange ob.q []) with
-  | [] -> ()
-  | frames -> (
-      let iov = List.concat_map fst frames in
-      match Conn.writev_all conn iov with
-      | () -> List.iter (fun (_, st) -> Atomic.set st Fdone) frames
-      | exception e -> List.iter (fun (_, st) -> Atomic.set st (Ffailed e)) frames)
-
-let send_combined ob conn iov =
-  let st = Atomic.make Fpending in
-  let rec push () =
-    let cur = Atomic.get ob.q in
-    if not (Atomic.compare_and_set ob.q cur ((iov, st) :: cur)) then push ()
-  in
-  push ();
-  let rec resolve () =
-    match Atomic.get st with
-    | Fdone -> ()
-    | Ffailed e -> raise e
-    | Fpending ->
-        if Atomic.compare_and_set ob.wl.locked false true then
-          Fun.protect
-            ~finally:(fun () -> Atomic.set ob.wl.locked false)
-            (fun () -> flush_outbox ob conn)
-        else ob.wl.sleep ();
-        resolve ()
-  in
-  resolve ()
-
-(* One frame write, atomic on the wire.  Fiber reactor: through the
-   combining outbox.  Blocking reactor: hold the lock for the whole
-   (still vectored, still copy-free) frame write — the blocking pools'
-   only write path. *)
-let write_frame ob conn iov =
-  if Conn.batched conn then send_combined ob conn iov
-  else with_wlock ob.wl (fun () -> Conn.writev_all conn iov)
-
 let check_len len =
   if len < 0 || len > max_frame then
     raise (Net.Protocol_error (Printf.sprintf "frame length %d out of range" len))
@@ -177,29 +95,28 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
      dispatcher so handlers are pool-pinned there while the decode loop
      (this function) stays wherever the listener put the connection.
      Everything the dispatched task touches is cross-pool safe: the
-     counters are atomics, and the write lock's sleep suspends whatever
-     fiber calls it (the handle only names the timer wheel). *)
+     counter is atomic, and the outbox's waits go through the serving
+     pool's [await], which suspends whatever fiber calls it. *)
   let dispatch =
     match dispatch with
     | Some d -> d
     | None -> fun f -> ignore (P.async pool f : unit Lhws_runtime.Promise.t)
   in
-  let ob = make_outbox (fun () -> P.sleep pool 0.0002) in
-  let outstanding = Atomic.make 0 in
+  let ob = Outbox.create ~await:(P.await pool) conn in
+  let outstanding = Outbox.Counter.create () in
+  let wait_until = Outbox.Counter.wait outstanding ~await:(P.await pool) in
   let rec loop () =
-    while Atomic.get outstanding >= max_pipeline do
-      P.sleep pool 0.0002
-    done;
+    wait_until (fun n -> n < max_pipeline);
     match read_request conn with
     | None -> ()
     | Some (id, payload) ->
-        Atomic.incr outstanding;
+        Outbox.Counter.incr outstanding;
         (* Each decoded request becomes a pool task: responses go out in
            completion order, ids let the client demultiplex — this is
            where packet arrival order feeds the scheduler. *)
         dispatch (fun () ->
             Fun.protect
-              ~finally:(fun () -> Atomic.decr outstanding)
+              ~finally:(fun () -> Outbox.Counter.decr outstanding)
               (fun () ->
                 let status, resp =
                   match handler payload with
@@ -209,11 +126,12 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
                 (* A response that cannot be written is not just this
                    request's problem: the client is now owed a frame
                    it will never get, so the stream contract is
-                   broken.  Close the connection — the client sees
-                   EOF and can retry on a fresh one — rather than
-                   silently dropping the frame on a live socket. *)
-                try write_frame ob conn (response_frame ~id ~status resp)
-                with Net.Closed | Net.Timeout -> Conn.close conn));
+                   broken.  The outbox closes the connection — the
+                   client sees EOF and can retry on a fresh one —
+                   rather than silently dropping the frame on a live
+                   socket. *)
+                try Outbox.send ob (response_frame ~id ~status resp)
+                with Net.Closed | Net.Timeout -> ()));
         loop ()
   in
   (try loop ()
@@ -222,9 +140,7 @@ let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p
    -> ());
   (* The connection may be closed the moment we return (the listener owns
      it): let in-flight responses finish first. *)
-  while Atomic.get outstanding > 0 do
-    P.sleep pool 0.0002
-  done
+  wait_until (fun n -> n = 0)
 
 let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?config
     ?dispatch addr ~handler =
@@ -236,12 +152,12 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?co
 module Client = struct
   type t = {
     conn : Conn.t;
-    ob : outbox;
+    ob : Outbox.t;
     pending_mu : Mutex.t;
     pending : (int, Bytes.t Promise.t) Hashtbl.t;
     next_id : int Atomic.t;
     closed : bool Atomic.t;
-    demux_done : bool Atomic.t;
+    mutable await_demux : unit -> unit;  (* set once, before [connect] returns *)
   }
 
   let take_pending c id =
@@ -310,19 +226,16 @@ module Client = struct
     let c =
       {
         conn;
-        ob = make_outbox (fun () -> P.sleep pool 0.0002);
+        ob = Outbox.create ~await:(P.await pool) conn;
         pending_mu = Mutex.create ();
         pending = Hashtbl.create 32;
         next_id = Atomic.make 1;
         closed = Atomic.make false;
-        demux_done = Atomic.make false;
+        await_demux = ignore;
       }
     in
-    ignore
-      (P.async pool (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.set c.demux_done true)
-             (fun () -> demux c)));
+    let task = P.async pool (fun () -> demux c) in
+    c.await_demux <- (fun () -> P.await pool task);
     c
 
   let call c payload =
@@ -339,7 +252,7 @@ module Client = struct
       ignore (take_pending c id : _ option);
       raise Net.Closed
     end;
-    (try write_frame c.ob c.conn (request_frame ~id payload)
+    (try Outbox.send c.ob (request_frame ~id payload)
      with e ->
        ignore (take_pending c id : _ option);
        raise e);
@@ -358,9 +271,7 @@ module Client = struct
       Conn.close c.conn;  (* wakes the demux task, which fails pending *)
       fail_all c Net.Closed
     end;
-    while not (Atomic.get c.demux_done) do
-      c.ob.wl.sleep ()
-    done
+    c.await_demux ()
 end
 
 (* --- synchronous round-trip, for blocking pools --- *)

@@ -371,6 +371,55 @@ let test_http_queued_responses_do_not_poll () =
           Http.Client.close cl;
           Http.shutdown ~grace:2. srv))
 
+(* max_pipeline bounds handlers, not reads: 200 GETs pipelined in one
+   write arrive in one read, yet at most 8 handlers may run at once, and
+   all 200 answers still come back in request order. *)
+let test_http_max_pipeline_bounds_handlers () =
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      Pl.run p (fun () ->
+          let running = Atomic.make 0 and peak = Atomic.make 0 in
+          let rec raise_peak n =
+            let cur = Atomic.get peak in
+            if n > cur && not (Atomic.compare_and_set peak cur n) then raise_peak n
+          in
+          let handler (req : Http.request) =
+            raise_peak (Atomic.fetch_and_add running 1 + 1);
+            Pl.sleep p 0.001;
+            Atomic.decr running;
+            Http.text req.Http.target
+          in
+          let config = { Http.default_config with max_pipeline = 8 } in
+          let srv = Http.serve (module Pl) p rt ~config loopback0 ~handler in
+          let n = 200 in
+          let reqs =
+            String.concat ""
+              (List.init n (fun i ->
+                   Printf.sprintf "GET /r/%d HTTP/1.1\r\nHost: t%s\r\n\r\n" i
+                     (if i = n - 1 then "\r\nConnection: close" else "")))
+          in
+          let fd = raw_connect (Http.addr srv) in
+          let b = Bytes.of_string reqs in
+          ignore (Unix.write fd b 0 (Bytes.length b) : int);
+          let answer = slurp fd in
+          Unix.close fd;
+          let bodies =
+            Astring.String.cuts ~empty:false ~sep:"HTTP/1.1 200" answer
+            |> List.map (fun r ->
+                   match Astring.String.cut ~sep:"\r\n\r\n" r with
+                   | Some (_, body) -> body
+                   | None -> r)
+          in
+          Alcotest.(check (list string))
+            "200 answers in request order"
+            (List.init n (Printf.sprintf "/r/%d"))
+            bodies;
+          Alcotest.(check bool)
+            (Printf.sprintf "peak %d handlers at once (max_pipeline 8)" (Atomic.get peak))
+            true
+            (Atomic.get peak <= 8);
+          Http.shutdown ~grace:2. srv))
+
 let test_http_malformed_400_and_close () =
   with_lhws_net (fun p rt ->
       let module Pl = P.Lhws_instance in
@@ -752,5 +801,7 @@ let () =
           Alcotest.test_case "load counters" `Quick test_http_load_counters;
           Alcotest.test_case "queued responses do not poll" `Quick
             test_http_queued_responses_do_not_poll;
+          Alcotest.test_case "max_pipeline bounds handlers" `Quick
+            test_http_max_pipeline_bounds_handlers;
         ] );
     ]

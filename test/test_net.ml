@@ -53,28 +53,76 @@ let test_rpc_echo_load () =
        would be unlocked from the wrong thread and wedge the
        connection. --- *)
 
+(* The same frames on the blocking path: the outbox's waiting writers
+   block (thread pool) or help (WS pool) instead of suspending.  The
+   client half needs a demux of its own, so on the helping WS pool it
+   runs on the thread pool — a WS helper could bury the demux loop. *)
+let large_concurrent_echo (type s c) (module S : P.POOL with type t = s) (sp : s) srt
+    (module C : P.POOL with type t = c) (cp : c) crt =
+  let size = 512 * 1024 in
+  let k = 8 in
+  S.run sp (fun () ->
+      let l = Rpc.serve (module S) sp srt loopback0 ~handler:Fun.id in
+      let client = Rpc.Client.connect (module C) cp crt (Listener.addr l) in
+      let payload i = Bytes.make size (Char.chr (Char.code 'a' + i)) in
+      let tasks =
+        List.init k (fun i ->
+            C.async cp (fun () ->
+                let resp = C.await cp (Rpc.Client.call client (payload i)) in
+                Bytes.equal resp (payload i)))
+      in
+      let ok = List.for_all (fun t -> C.await cp t) tasks in
+      Rpc.Client.close client;
+      Listener.shutdown ~grace:5. l;
+      ok)
+
 let test_rpc_large_concurrent_writes () =
+  let check what ok = Alcotest.(check bool) (what ^ ": large frames all echo intact") true ok in
   with_lhws_net ~workers:4 (fun p rt ->
       let module Pl = P.Lhws_instance in
-      let size = 512 * 1024 in
-      let k = 8 in
-      let ok =
-        Pl.run p (fun () ->
-            let l = Rpc.serve (module Pl) p rt loopback0 ~handler:Fun.id in
-            let client = Rpc.Client.connect (module Pl) p rt (Listener.addr l) in
-            let payload i = Bytes.make size (Char.chr (Char.code 'a' + i)) in
-            let tasks =
-              List.init k (fun i ->
-                  Pl.async p (fun () ->
-                      let resp = Pl.await p (Rpc.Client.call client (payload i)) in
-                      Bytes.equal resp (payload i)))
-            in
-            let ok = List.for_all (fun t -> Pl.await p t) tasks in
-            Rpc.Client.close client;
-            Listener.shutdown ~grace:5. l;
-            ok)
-      in
-      Alcotest.(check bool) "large pipelined frames all echo intact" true ok)
+      check "lhws fibers" (large_concurrent_echo (module Pl) p rt (module Pl) p rt));
+  let module Pt = P.Threaded_instance in
+  let module Pw = P.Ws_instance in
+  let tp = Pt.create () in
+  Fun.protect
+    ~finally:(fun () -> Pt.shutdown tp)
+    (fun () ->
+      let rt = Reactor.blocking () in
+      check "threads blocking" (large_concurrent_echo (module Pt) tp rt (module Pt) tp rt);
+      Ws_pool.with_pool ~workers:4 (fun wp ->
+          check "ws blocking" (large_concurrent_echo (module Pw) wp rt (module Pt) tp rt)))
+
+(* --- queued writers wait, they do not poll: 32 calls of 256 KiB queue
+       behind a flush parked on a full socket (the server reads nothing
+       for 100 ms).  Writers that sleep 200 us and re-check cost
+       thousands of suspensions here (about 6 000 measured); waiting
+       ones suspend about once each. --- *)
+
+let test_rpc_queued_writes_do_not_poll () =
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      Pl.run p (fun () ->
+          let l =
+            Listener.serve (module Pl) p rt loopback0 ~handler:(fun conn ->
+                Pl.sleep p 0.1;
+                Rpc.serve_handler (module Pl) p ~handler:Fun.id conn)
+          in
+          let client = Rpc.Client.connect (module Pl) p rt (Listener.addr l) in
+          let payload i = Bytes.make (256 * 1024) (Char.chr (Char.code 'a' + (i mod 26))) in
+          let before = (Pl.stats p).Scheduler_core.suspensions in
+          let calls =
+            List.init 32 (fun i ->
+                Pl.async p (fun () -> Pl.await p (Rpc.Client.call client (payload i))))
+          in
+          let replies = List.map (Pl.await p) calls in
+          let suspensions = (Pl.stats p).Scheduler_core.suspensions - before in
+          Alcotest.(check bool) "every reply intact" true
+            (List.for_all2 Bytes.equal replies (List.init 32 payload));
+          Alcotest.(check bool)
+            (Printf.sprintf "%d suspensions while 32 writes queued" suspensions)
+            true (suspensions < 2000);
+          Rpc.Client.close client;
+          Listener.shutdown ~grace:2. l))
 
 (* --- handler exceptions travel back as Remote_error --- *)
 
@@ -193,6 +241,47 @@ let test_graceful_drain () =
       Alcotest.(check string) "in-flight response delivered" "ping" resp;
       Alcotest.(check int) "all handlers drained" 0 live_after)
 
+(* --- the max_conns gate waits for a handler to exit, it does not poll:
+       over 100 ms at the gate a polling acceptor suspends about 200
+       times (one per 0.5 ms); a waiting one about once. --- *)
+
+let test_listener_gate_waits () =
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      Pl.run p (fun () ->
+          let config = { Listener.default_config with max_conns = 1 } in
+          (* Greet with one byte, then hold the connection until EOF. *)
+          let l =
+            Listener.serve (module Pl) p rt ~config loopback0 ~handler:(fun c ->
+                Conn.write_all c (Bytes.of_string "x");
+                let b = Bytes.create 1 in
+                while Conn.read c b 0 1 > 0 do
+                  ()
+                done)
+          in
+          let greeted fd =
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+            let b = Bytes.create 1 in
+            match Unix.read fd b 0 1 with
+            | 1 -> Bytes.get b 0 = 'x'
+            | _ -> false
+            | exception Unix.Unix_error _ -> false
+          in
+          let first = raw_connect (Listener.addr l) in
+          Alcotest.(check bool) "first connection served" true (greeted first);
+          let before = (Pl.stats p).Scheduler_core.suspensions in
+          Pl.sleep p 0.1;
+          let suspensions = (Pl.stats p).Scheduler_core.suspensions - before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d suspensions in 100 ms at the gate" suspensions)
+            true (suspensions <= 10);
+          let second = raw_connect (Listener.addr l) in
+          Unix.close first;
+          Alcotest.(check bool) "second connection served once the first closed" true
+            (greeted second);
+          Unix.close second;
+          Listener.shutdown ~grace:2. l))
+
 (* --- idle connections are reaped --- *)
 
 let test_idle_reap () =
@@ -305,6 +394,8 @@ let () =
           Alcotest.test_case "echo under load" `Quick test_rpc_echo_load;
           Alcotest.test_case "large concurrent frames" `Quick test_rpc_large_concurrent_writes;
           Alcotest.test_case "remote error" `Quick test_rpc_remote_error;
+          Alcotest.test_case "queued writes do not poll" `Quick
+            test_rpc_queued_writes_do_not_poll;
         ] );
       ( "conn",
         [
@@ -317,6 +408,7 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "idle reap" `Quick test_idle_reap;
           Alcotest.test_case "500 conns, no fd leak" `Quick test_many_connections_no_leak;
+          Alcotest.test_case "max_conns gate waits" `Quick test_listener_gate_waits;
         ] );
       ( "workload",
         [ Alcotest.test_case "net_map_reduce checksums" `Quick test_net_map_reduce_modes ] );

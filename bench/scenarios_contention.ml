@@ -18,7 +18,6 @@ let stat_counters (stats : Lhws_runtime.Scheduler_core.stats) =
   [
     ("steals", stats.steals);
     ("failed_steals", stats.failed_steals);
-    ("steals_batched", stats.steals_batched);
     ("tasks_stolen", stats.tasks_stolen);
     ("deques_allocated", stats.deques_allocated);
     ("suspensions", stats.suspensions);
@@ -67,17 +66,14 @@ let resume_storm profile =
 
 (* A wide tree of tiny tasks: thieves spend most of their time scanning
    for victims, so the cost of the candidate scan (previously an O(n)
-   List.filter under the victim's lock) dominates.  Runs the full steal
-   matrix — both lhws victim policies x both steal modes, plus the
-   blocking baseline in both modes — so one-vs-half is measured on the
-   same workload the policies are. *)
+   List.filter under the victim's lock) dominates.  Runs both lhws victim
+   policies and the blocking baseline. *)
 let steal_storm profile =
-  R.section "CONT2 | steal-storm: tiny-task fork tree, steal policies x steal modes";
+  R.section "CONT2 | steal-storm: tiny-task fork tree, steal policies";
   let leaves = R.pick profile ~full:32768 ~smoke:256 in
   let spin = R.pick profile ~full:80 ~smoke:20 in
   Printf.printf "%d leaves, ~%d-iteration spin each\n" leaves spin;
-  Printf.printf "%8s %-18s %12s %14s %10s %10s %12s\n" "workers" "policy" "wall (s)" "kleaves/s"
-    "steals" "batched" "tasks/steal";
+  Printf.printf "%8s %-18s %12s %14s %10s\n" "workers" "policy" "wall (s)" "kleaves/s" "steals";
   let spin_leaf i =
     let acc = ref i in
     for k = 1 to spin do
@@ -86,19 +82,18 @@ let steal_storm profile =
     Sys.opaque_identity !acc |> ignore;
     1
   in
-  let report label workers wall (st : Core.stats) =
+  let report ~pool label workers wall (st : Core.stats) =
     Bench_json.record
       ~scenario:(Printf.sprintf "contention_steal_storm_%s" label)
-      ~pool:"lhws" ~workers ~wall_s:wall ~counters:(stat_counters st) ();
-    Printf.printf "%8d %-18s %12.4f %14.1f %10d %10d %12.2f\n%!" workers label wall
-      (kops leaves wall) st.steals st.steals_batched
-      (float_of_int st.tasks_stolen /. float_of_int (max 1 st.steals))
+      ~pool ~workers ~wall_s:wall ~counters:(stat_counters st) ();
+    Printf.printf "%8d %-18s %12.4f %14.1f %10d\n%!" workers label wall (kops leaves wall)
+      st.steals
   in
   List.iter
     (fun workers ->
       List.iter
-        (fun (label, policy, mode) ->
-          Lhws.with_pool ~workers ~steal_policy:policy ~steal_mode:mode (fun p ->
+        (fun (label, policy) ->
+          Lhws.with_pool ~workers ~steal_policy:policy (fun p ->
               let v, wall =
                 time (fun () ->
                     Lhws.run p (fun () ->
@@ -106,31 +101,17 @@ let steal_storm profile =
                           ~combine:( + ) ~id:0))
               in
               R.expect (v = leaves);
-              report label workers wall (Lhws.stats p)))
-        [
-          ("global", Lhws.Global_deque, Core.Steal_one);
-          ("worker", Lhws.Worker_then_deque, Core.Steal_one);
-          ("global_half", Lhws.Global_deque, Core.Steal_half);
-          ("worker_half", Lhws.Worker_then_deque, Core.Steal_half);
-        ];
-      List.iter
-        (fun (label, mode) ->
-          Ws.with_pool ~workers ~steal_mode:mode (fun p ->
-              let v, wall =
-                time (fun () ->
-                    Ws.run p (fun () ->
-                        Ws.parallel_map_reduce p ~lo:0 ~hi:leaves ~map:spin_leaf ~combine:( + )
-                          ~id:0))
-              in
-              R.expect (v = leaves);
-              let st = Ws.stats p in
-              Bench_json.record
-                ~scenario:(Printf.sprintf "contention_steal_storm_%s" label)
-                ~pool:"ws" ~workers ~wall_s:wall ~counters:(stat_counters st) ();
-              Printf.printf "%8d %-18s %12.4f %14.1f %10d %10d %12.2f\n%!" workers label wall
-                (kops leaves wall) st.steals st.steals_batched
-                (float_of_int st.tasks_stolen /. float_of_int (max 1 st.steals))))
-        [ ("ws_one", Core.Steal_one); ("ws_half", Core.Steal_half) ])
+              report ~pool:"lhws" label workers wall (Lhws.stats p)))
+        [ ("global", Lhws.Global_deque); ("worker", Lhws.Worker_then_deque) ];
+      Ws.with_pool ~workers (fun p ->
+          let v, wall =
+            time (fun () ->
+                Ws.run p (fun () ->
+                    Ws.parallel_map_reduce p ~lo:0 ~hi:leaves ~map:spin_leaf ~combine:( + )
+                      ~id:0))
+          in
+          R.expect (v = leaves);
+          report ~pool:"ws" "ws_one" workers wall (Ws.stats p)))
     (R.pick profile ~full:[ 4; 8 ] ~smoke:[ 2 ])
 
 (* Many fibers sleeping tiny durations: every worker used to probe the

@@ -10,7 +10,6 @@ let stat_counters (stats : Lhws_runtime.Scheduler_core.stats) =
   [
     ("steals", stats.steals);
     ("failed_steals", stats.failed_steals);
-    ("steals_batched", stats.steals_batched);
     ("tasks_stolen", stats.tasks_stolen);
     ("deques_allocated", stats.deques_allocated);
     ("suspensions", stats.suspensions);

@@ -140,58 +140,6 @@ let steal d =
     if Atomic.compare_and_set d.top t (t + 1) then Some x else None
   end
 
-(* Batched steal: take up to half of the visible [top, bottom) range in
-   one call, oldest first, one CAS per element.
-
-   Why not one CAS reserving the whole range (top: t -> t + k)?  Because
-   the owner's [pop_bottom] plain-takes any slot strictly above the [top]
-   it read, with no synchronization.  A thief that read (t, b), stalled,
-   and then range-CASed t -> t+k can succeed even though the owner has
-   meanwhile popped (and reset to the sentinel, or reused for later
-   pushes) slots inside [t, t+k): elements get lost and duplicated.  The
-   classical Chase-Lev steal is safe precisely because its CAS protects
-   only index [t] — the one slot the owner can never plain-take.  So a
-   correct batch over this deque reserves each element with its own CAS
-   (as crossbeam's steal_batch does for LIFO workers), and re-reads
-   [bottom] before each one: the owner may have plain-taken slot [t+i]
-   after the batch began, having read [top] before the CAS that moved
-   it to [t+i].  The previous CAS stands in for [steal]'s read of
-   [top], so each element follows [steal]'s top-bottom-CAS order.  The
-   win over k calls to [steal] is one victim scan and no re-entry into
-   victim selection between elements, not fewer CASes or reads.
-   The broken single-CAS variant is kept in the mutation suite
-   (test/prop/test_stress.ml) as proof the stress battery catches it.
-
-   The split is ceil(n/2) of the observed size: a victim observed with
-   1 task still yields that task (degenerating to [steal]), and the
-   owner is always left the newer half, preserving its LIFO locality.
-   The batch aborts at the first lost CAS race; elements already handed
-   to [f] are validly owned.  Each element is read from the current
-   buffer before its CAS, under the same stale-buffer argument as
-   [steal] (grow copies the live range; a successful CAS on [top]
-   entitles the thief to the value it read). *)
-let steal_half d f =
-  let t = Atomic.get d.top in
-  let b = Atomic.get d.bottom in
-  let n = b - t in
-  if n <= 0 then 0
-  else begin
-    let want = (n + 1) / 2 in
-    let rec go i =
-      if i >= want || t + i >= Atomic.get d.bottom then i
-      else begin
-        let buf = Atomic.get d.buf in
-        let x = buffer_get buf (t + i) in
-        if Atomic.compare_and_set d.top (t + i) (t + i + 1) then begin
-          f x;
-          go (i + 1)
-        end
-        else i
-      end
-    in
-    go 0
-  end
-
 let size d =
   let b = Atomic.get d.bottom in
   let t = Atomic.get d.top in

@@ -39,19 +39,6 @@ val steal : 'a t -> 'a option
     or the CAS race was lost (callers should retry elsewhere, as a failed
     steal attempt). *)
 
-val steal_half : 'a t -> ('a -> unit) -> int
-(** Any domain.  Batched steal: takes up to ceil(n/2) of the observed
-    [n]-element range, oldest first, calling [f] on each element in steal
-    order, and returns how many were taken (0 when empty or the first
-    race was lost).  Each element is reserved with its own CAS on the
-    steal index — a single CAS reserving the whole range is unsound
-    against the owner's unsynchronized [pop_bottom] (see the
-    implementation comment) — so the batch may stop short at the first
-    lost race; elements already passed to [f] are owned exactly once.
-    The saving over repeated {!steal} is one victim scan and one
-    [bottom] read per batch, which is what matters when the steal itself
-    is the expensive operation. *)
-
 val size : 'a t -> int
 (** Snapshot size; may be stale under concurrency.  Never negative. *)
 

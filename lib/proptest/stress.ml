@@ -7,7 +7,6 @@ module type DEQUE = sig
   val push_bottom : 'a t -> 'a -> unit
   val pop_bottom : 'a t -> 'a option
   val steal : 'a t -> 'a option
-  val steal_half : 'a t -> ('a -> unit) -> int
 end
 
 module Chase_lev_deque = Lhws_deque.Chase_lev
@@ -37,33 +36,23 @@ let count_inversions xs =
   go 0 xs
 
 let hammer (module D : DEQUE) ?(thieves = 3) ?(items = 20_000) ?(pop_every = 7)
-    ?(owner_pause_every = 0) ?(steal = `One) () =
+    ?(owner_pause_every = 0) () =
   let d = D.create () in
   let done_pushing = Atomic.make false in
   let thief () =
-    (* Collected newest-first; reversed before the order check.  The
-       per-thief increasing-order check holds for batched steals too: a
-       batch hands over consecutive top indexes, and top only moves
-       forward, so one thief's elements across batches still come out in
-       push order. *)
+    (* Collected newest-first; reversed before the order check. *)
     let mine = ref [] in
-    let steal_once () =
-      match steal with
-      | `One -> (
-          match D.steal d with
-          | Some x ->
-              mine := x :: !mine;
-              1
-          | None -> 0)
-      | `Half -> D.steal_half d (fun x -> mine := x :: !mine)
-    in
     let rec go misses =
-      if steal_once () > 0 then go 0
-      else if Atomic.get done_pushing && misses > 200 then ()
-      else begin
-        Domain.cpu_relax ();
-        go (misses + 1)
-      end
+      match D.steal d with
+      | Some x ->
+          mine := x :: !mine;
+          go 0
+      | None ->
+          if Atomic.get done_pushing && misses > 200 then ()
+          else begin
+            Domain.cpu_relax ();
+            go (misses + 1)
+          end
     in
     go 0;
     List.rev !mine
@@ -81,8 +70,8 @@ let hammer (module D : DEQUE) ?(thieves = 3) ?(items = 20_000) ?(pop_every = 7)
   done;
   Atomic.set done_pushing true;
   (* The drain honours [owner_pause_every] too: checks that need a thief
-     to act while the owner is mid-drain (e.g. a stale range reservation
-     colliding with owner pops) get their windows on a single core. *)
+     to act while the owner is mid-drain get their windows on a single
+     core. *)
   let drained = ref 0 in
   let rec drain () =
     match D.pop_bottom d with
@@ -111,57 +100,6 @@ let hammer (module D : DEQUE) ?(thieves = 3) ?(items = 20_000) ?(pop_every = 7)
     lost = !lost;
     duplicated = !duplicated;
     reordered = List.fold_left (fun acc l -> acc + count_inversions l) 0 stolen_lists;
-  }
-
-(* Sequential split-contract check: for every size n in [0, max_size], a
-   single steal_half on an n-element deque must take exactly ceil(n/2)
-   elements, the oldest ones, in push order, leaving the newest half for
-   the owner.  Contract deviations (wrong batch size, wrong elements or
-   wrong order) count as [reordered]; the multiset check across the steal
-   and the owner's drain feeds [lost]/[duplicated] as usual. *)
-let split_model (module D : DEQUE) ?(max_size = 64) () =
-  let pushed = ref 0 and popped = ref 0 and stolen = ref 0 in
-  let lost = ref 0 and duplicated = ref 0 and reordered = ref 0 in
-  for n = 0 to max_size do
-    let d = D.create ~capacity:2 () in
-    for i = 1 to n do
-      D.push_bottom d i
-    done;
-    pushed := !pushed + n;
-    let got = ref [] in
-    let k = D.steal_half d (fun x -> got := x :: !got) in
-    let got = List.rev !got in
-    stolen := !stolen + k;
-    let expect_k = (n + 1) / 2 in
-    if k <> expect_k || List.length got <> k then incr reordered;
-    if got <> List.init (List.length got) (fun i -> i + 1) then incr reordered;
-    let consumed = Array.make (n + 1) 0 in
-    List.iter (fun x -> if x >= 1 && x <= n then consumed.(x) <- consumed.(x) + 1) got;
-    (* The owner drains the remainder, newest first. *)
-    let prev = ref max_int in
-    let rec drain () =
-      match D.pop_bottom d with
-      | Some x ->
-          incr popped;
-          if x >= !prev then incr reordered;
-          prev := x;
-          if x >= 1 && x <= n then consumed.(x) <- consumed.(x) + 1;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    for i = 1 to n do
-      if consumed.(i) = 0 then incr lost;
-      if consumed.(i) > 1 then duplicated := !duplicated + (consumed.(i) - 1)
-    done
-  done;
-  {
-    pushed = !pushed;
-    popped = !popped;
-    stolen = !stolen;
-    lost = !lost;
-    duplicated = !duplicated;
-    reordered = !reordered;
   }
 
 let sequential_model (module D : DEQUE) ?(ops = 5_000) ~seed () =
@@ -203,24 +141,11 @@ let sequential_model (module D : DEQUE) ?(ops = 5_000) ~seed () =
         if got <> None then incr popped;
         consume got;
         if got <> model_pop () then incr reordered
-    | 4 ->
+    | _ ->
         let got = D.steal d in
         if got <> None then incr stolen;
         consume got;
         if got <> model_steal () then incr reordered
-    | _ ->
-        (* Batched steal: must take exactly ceil(n/2) oldest, in order. *)
-        let got = ref [] in
-        let k = D.steal_half d (fun x -> got := x :: !got) in
-        let got = List.rev !got in
-        stolen := !stolen + k;
-        let expect_k = (List.length !model + 1) / 2 in
-        if k <> expect_k then incr reordered;
-        List.iter
-          (fun x ->
-            consume (Some x);
-            if model_steal () <> Some x then incr reordered)
-          got
   done;
   (* Drain what remains so loss/duplication are judged on the full run. *)
   let rec drain () =

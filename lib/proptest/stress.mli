@@ -13,11 +13,6 @@ module type DEQUE = sig
   val push_bottom : 'a t -> 'a -> unit
   val pop_bottom : 'a t -> 'a option
   val steal : 'a t -> 'a option
-
-  val steal_half : 'a t -> ('a -> unit) -> int
-  (** Batched steal with {!Lhws_deque.Chase_lev.steal_half}'s contract:
-      up to ceil(n/2) of the observed n elements, oldest first, each
-      passed to the callback; returns the count taken. *)
 end
 
 module Chase_lev_deque : DEQUE with type 'a t = 'a Lhws_deque.Chase_lev.t
@@ -42,7 +37,6 @@ val hammer :
   ?items:int ->
   ?pop_every:int ->
   ?owner_pause_every:int ->
-  ?steal:[ `One | `Half ] ->
   unit ->
   report
 (** Multi-domain hammer: one owner domain pushes [items] distinct values
@@ -57,28 +51,13 @@ val hammer :
     every that many pushes.  Mutation checks that need a thief to land
     several {e consecutive} steals use it: on a single-core machine the
     thieves only run while the owner is off the CPU, and without a real
-    sleep the owner monopolises it.
-
-    [steal] (default [`One]) selects what the thieves call: classical
-    one-element [steal], or batched [steal_half].  The per-thief order
-    check is valid in both modes — batches hand over consecutive top
-    indexes, and top only moves forward. *)
-
-val split_model : (module DEQUE) -> ?max_size:int -> unit -> report
-(** Sequential split-contract check: for every deque size n in
-    [\[0, max_size\]] (default 64), one [steal_half] must take exactly
-    ceil(n/2) elements — the oldest, in push order — leaving the newest
-    half to the owner's drain.  Any contract deviation (batch size,
-    element choice or order) counts as [reordered]; the multiset check
-    feeds [lost] / [duplicated].  Catches off-by-one split mutations that
-    the concurrent hammer cannot see (a floor split loses no elements,
-    it just takes the wrong number). *)
+    sleep the owner monopolises it. *)
 
 val sequential_model :
   (module DEQUE) -> ?ops:int -> seed:int -> unit -> report
-(** Single-domain random push/pop/steal/steal-half sequence compared
-    against a reference double-ended list model: with no concurrency,
-    [pop_bottom] must return exactly the newest element, [steal] exactly
-    the oldest, and [steal_half] exactly the oldest ceil(n/2) in order.
+(** Single-domain random push/pop/steal sequence compared against a
+    reference double-ended list model: with no concurrency, [pop_bottom]
+    must return exactly the newest element and [steal] exactly the
+    oldest.
     Any disagreement counts as [reordered] (and as [lost] /
     [duplicated] when the multiset diverges). *)

@@ -49,9 +49,6 @@ type wrec = {
          oldest first.  Owner-only (fed and drained by this worker's own
          drain/next steps); permanently empty under [Newest_first] *)
   notified : deque list Atomic.t;  (* MPSC: deques with fresh resumes *)
-  inbox : task list Atomic.t;
-      (* MPSC: resumed tasks delivered directly to this worker under the
-         [Spread] placement (unused — always empty — under [Home_worker]) *)
   mutable empty : deque list;  (* freed deques for reuse; owner only *)
   mutable owned_live : int;
   owned_snap : deque array Atomic.t;
@@ -64,18 +61,6 @@ type wrec = {
 }
 
 type steal_policy = Global_deque | Worker_then_deque
-
-(* Where a resumed fiber's continuation is re-injected.  [Home_worker] is
-   the paper-faithful default and what every earlier version hardwired:
-   the batch goes back into the deque the fiber suspended with, on the
-   worker it last ran on — the locality-preserving choice ("Analysis of
-   Work-Stealing and Parallel Cache Complexity", arXiv 2111.04994: steals
-   dominate cache cost, so resumes should not migrate).  [Spread] instead
-   round-robins each resumed continuation across the pool's workers (it
-   lands in the target's inbox and re-enters through its active deque) —
-   the any-worker strawman, exposed so the locality claim is measurable
-   rather than assumed. *)
-type resume_placement = Home_worker | Spread
 
 let default_initial_deques = 1024
 
@@ -91,10 +76,7 @@ type pstate = {
   grow_lock : Mutex.t;
   gtotal : int Atomic.t;
   steal_policy : steal_policy;
-  steal_mode : Core.steal_mode;
-  resume_placement : resume_placement;
   resume_order : Core.resume_order;
-  spread_rr : int Atomic.t;  (* round-robin cursor for [Spread] delivery *)
   self_wid : unit -> int;
 }
 
@@ -195,21 +177,16 @@ let requeue_home p d task =
   let was_empty = mpsc_push d.resumed task in
   if was_empty then ignore (mpsc_push p.slots.(d.owner).notified d : bool)
 
+(* A resumed continuation always goes back to the deque it suspended
+   with, on that deque's owner — the locality-preserving placement
+   ("Analysis of Work-Stealing and Parallel Cache Complexity", arXiv
+   2111.04994: steals dominate cache cost, so resumes should not
+   migrate).  The owner's [drain_resumed] then re-injects it per the
+   resume order. *)
 let on_resume p d task =
-  match p.resume_placement with
-  | Home_worker ->
-      let was_empty = mpsc_push d.resumed task in
-      Atomic.decr d.suspend_ctr;
-      if was_empty then ignore (mpsc_push p.slots.(d.owner).notified d : bool)
-  | Spread ->
-      (* Any-worker delivery: the continuation goes straight to a
-         round-robin worker's inbox; its home deque only loses the
-         suspension (and may retire normally).  When the fiber suspends
-         again it pairs with wherever it is running then. *)
-      Atomic.decr d.suspend_ctr;
-      let n = Array.length p.slots in
-      let target = Atomic.fetch_and_add p.spread_rr 1 mod n in
-      ignore (mpsc_push p.slots.(target).inbox task : bool)
+  let was_empty = mpsc_push d.resumed task in
+  Atomic.decr d.suspend_ctr;
+  if was_empty then ignore (mpsc_push p.slots.(d.owner).notified d : bool)
 
 (* --- fiber execution --- *)
 
@@ -309,35 +286,6 @@ let drain_resumed p w =
                   w.ready <- d :: w.ready
                 end))
       (List.rev notified)
-  end;
-  (* [Spread] delivery: continuations routed to this worker's inbox
-     re-enter through its active deque (allocated on demand), exactly
-     like a resume batch would through a home deque — or through the
-     FIFO lane under [Aged_fifo]. *)
-  if Atomic.get w.inbox != [] then begin
-    let batch = mpsc_drain w.inbox in
-    Core.mark w.ctx Tracing.Resume_batch;
-    w.ctx.counters.resumes <- w.ctx.counters.resumes + List.length batch;
-    match p.resume_order with
-    | Core.Aged_fifo ->
-        List.iter (fun task -> Queue.add task w.resume_fifo) (List.rev batch)
-    | Core.Newest_first ->
-        let d =
-          match w.active with
-          | Some d -> d
-          | None ->
-              let d = alloc_deque p w in
-              w.active <- Some d;
-              d
-        in
-        let task =
-          match batch with
-          | [ single ] -> single
-          | _ ->
-              let arr = Array.of_list (List.rev batch) in
-              Pinned (fun () -> pfor_exec p arr 0 (Array.length arr))
-        in
-        Chase_lev.push_bottom d.q task
   end
 
 (* Retire an exhausted active deque: free it if nothing will come back. *)
@@ -352,49 +300,17 @@ let retire_active w =
         if quiet && Chase_lev.is_empty d.q then free_deque w d
       end
 
-(* Steal from victim deque [d] according to the pool's steal mode.  On
-   success the thief allocates a fresh deque of its own, makes it active,
-   and returns the first (oldest) stolen task to run now.  Under
-   [Steal_half] any surplus goes into that new deque — the thief becomes
-   its owner, so the surplus is reachable by further thieves and pops in
-   LIFO order, exactly like work the thief spawned itself.  The deque is
-   allocated lazily on the first surplus task (or at the end when the
-   batch degenerated to one), so a lost first CAS allocates nothing. *)
+(* Steal the oldest task of victim deque [d].  On success the thief
+   allocates a fresh deque of its own, makes it active, and returns the
+   stolen task to run now; a lost race allocates nothing. *)
 let steal_from p w d =
-  let activate nd task k =
-    Core.count_steal w.ctx.counters ~tasks:k;
-    Core.mark w.ctx Tracing.Steal;
-    w.active <- Some nd;
-    Some task
-  in
-  match p.steal_mode with
-  | Core.Steal_one -> (
-      match Chase_lev.steal d.q with
-      | Some task -> activate (alloc_deque p w) task 1
-      | None -> None)
-  | Core.Steal_half -> (
-      let first = ref None in
-      let nd = ref None in
-      let k =
-        Chase_lev.steal_half d.q (fun task ->
-            match !first with
-            | None -> first := Some task
-            | Some _ ->
-                let target =
-                  match !nd with
-                  | Some target -> target
-                  | None ->
-                      let target = alloc_deque p w in
-                      nd := Some target;
-                      target
-                in
-                Chase_lev.push_bottom target.q task)
-      in
-      match !first with
-      | None -> None
-      | Some task ->
-          let target = match !nd with Some t -> t | None -> alloc_deque p w in
-          activate target task k)
+  match Chase_lev.steal d.q with
+  | Some task ->
+      w.ctx.counters.steals <- w.ctx.counters.steals + 1;
+      Core.mark w.ctx Tracing.Steal;
+      w.active <- Some (alloc_deque p w);
+      Some task
+  | None -> None
 
 (* Uniformly random one of the currently non-empty deques in a published
    snapshot; [None] when all are empty (or emptied between the count and
@@ -480,38 +396,24 @@ let try_steal p w =
    [Fresh] thunks are exported: [Resume] continuations re-enter effect
    handlers closed over this pool, and [Pinned] thunks capture its
    [pstate]; both go back to their home deque via [requeue_home], never
-   dropped.  Returns how many tasks were delivered to [sink]. *)
-let export_steal p ~rng ~tracker ~mode ~sink =
+   dropped.  Returns whether a thunk was delivered to [sink]. *)
+let export_steal p ~rng ~tracker ~sink =
   let n = Array.length p.slots in
   let vid = Core.Victim_stats.pick_foreign tracker rng ~n in
-  let miss () =
-    Core.Victim_stats.record tracker vid ~hit:false;
-    0
+  let stolen =
+    match random_nonempty_deque rng (Atomic.get p.slots.(vid).owned_snap) with
+    | None -> None
+    | Some d -> Option.map (fun task -> (d, task)) (Chase_lev.steal d.q)
   in
-  let owned = Atomic.get p.slots.(vid).owned_snap in
-  match random_nonempty_deque rng owned with
-  | None -> miss ()
-  | Some d ->
-      let sunk = ref 0 in
-      let deliver task =
-        match task with
-        | Fresh f ->
-            incr sunk;
-            sink f
-        | (Pinned _ | Resume _) as task -> requeue_home p d task
-      in
-      let got =
-        match mode with
-        | Core.Steal_one -> (
-            match Chase_lev.steal d.q with
-            | Some task ->
-                deliver task;
-                1
-            | None -> 0)
-        | Core.Steal_half -> Chase_lev.steal_half d.q deliver
-      in
-      Core.Victim_stats.record tracker vid ~hit:(got > 0);
-      !sunk
+  Core.Victim_stats.record tracker vid ~hit:(stolen <> None);
+  match stolen with
+  | None -> false
+  | Some (_, Fresh f) ->
+      sink f;
+      true
+  | Some (d, ((Pinned _ | Resume _) as task)) ->
+      requeue_home p d task;
+      false
 
 (* One scheduling decision: the next task to run, switching or stealing as
    needed.  Mirrors lines 40-56 of Figure 3, with one insertion: under
@@ -574,8 +476,6 @@ module Policy = struct
 
   type config = {
     steal_policy : steal_policy;
-    steal_mode : Core.steal_mode;
-    resume_placement : resume_placement;
     resume_order : Core.resume_order;
     initial_deques : int;
   }
@@ -583,8 +483,6 @@ module Policy = struct
   let default_config =
     {
       steal_policy = Global_deque;
-      steal_mode = Core.Steal_one;
-      resume_placement = Home_worker;
       resume_order = Core.Newest_first;
       initial_deques = default_initial_deques;
     }
@@ -593,9 +491,7 @@ module Policy = struct
   type pool = pstate
   type wstate = wrec
 
-  let make_pool
-      { steal_policy; steal_mode; resume_placement; resume_order; initial_deques }
-      ~ctxs ~self_wid =
+  let make_pool { steal_policy; resume_order; initial_deques } ~ctxs ~self_wid =
     let victims = Array.length ctxs in
     {
       slots =
@@ -607,7 +503,6 @@ module Policy = struct
               ready = [];
               resume_fifo = Queue.create ();
               notified = Padding.make_atomic [];
-              inbox = Padding.make_atomic [];
               empty = [];
               owned_live = 0;
               owned_snap = Padding.make_atomic [||];
@@ -618,25 +513,15 @@ module Policy = struct
       grow_lock = Mutex.create ();
       gtotal = Atomic.make 0;
       steal_policy;
-      steal_mode;
-      resume_placement;
       resume_order;
-      spread_rr = Atomic.make 0;
       self_wid;
     }
 
   let worker p i = p.slots.(i)
 
   (* Any owned deque with suspended fibers (or an undrained resume batch)
-     means a resume can land at any moment: stay on the fast idle poll.
-     Under [Spread] a resume may land in this worker's inbox even when
-     its own deques are quiet (the suspension lives elsewhere); an
-     undrained inbox always keeps the fast poll, but a quiet worker can
-     still be up to the backoff cap late for the first spread-in resume —
-     acceptable for an explicitly locality-breaking placement. *)
+     means a resume can land at any moment: stay on the fast idle poll. *)
   let expects_resumes _p w =
-    Atomic.get w.inbox != []
-    ||
     let owned = Atomic.get w.owned_snap in
     let n = Array.length owned in
     let rec scan i =
@@ -665,29 +550,18 @@ module C = Core.Make (Policy)
 
 type t = C.t
 
-let config ?(steal_policy = Global_deque) ?(steal_mode = Core.Steal_one)
-    ?(resume_placement = Home_worker) ?(resume_order = Core.Newest_first)
+let config ?(steal_policy = Global_deque) ?(resume_order = Core.Newest_first)
     ?(initial_deques = default_initial_deques) () =
-  { Policy.steal_policy; steal_mode; resume_placement; resume_order; initial_deques }
+  { Policy.steal_policy; resume_order; initial_deques }
 
-let create ?name ?workers ?steal_policy ?steal_mode ?resume_placement
-    ?resume_order ?initial_deques () =
-  C.create ?name ?workers
-    ~config:
-      (config ?steal_policy ?steal_mode ?resume_placement ?resume_order
-         ?initial_deques ())
-    ()
+let create ?name ?workers ?steal_policy ?resume_order ?initial_deques () =
+  C.create ?name ?workers ~config:(config ?steal_policy ?resume_order ?initial_deques ()) ()
 
 let run = C.run
 let shutdown = C.shutdown
 
-let with_pool ?name ?workers ?steal_policy ?steal_mode ?resume_placement
-    ?resume_order ?initial_deques f =
-  C.with_pool ?name ?workers
-    ~config:
-      (config ?steal_policy ?steal_mode ?resume_placement ?resume_order
-         ?initial_deques ())
-    f
+let with_pool ?name ?workers ?steal_policy ?resume_order ?initial_deques f =
+  C.with_pool ?name ?workers ~config:(config ?steal_policy ?resume_order ?initial_deques ()) f
 
 let register_poller = C.register_poller
 let register_shed_counter = C.register_shed_counter
@@ -765,9 +639,7 @@ type stats = Scheduler_core.stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;

@@ -8,9 +8,10 @@
     collection of Chase–Lev deques, one active at a time.  A fiber that suspends
     (e.g. {!sleep}, or {!await} on an unresolved promise) has its
     continuation paired with the worker's active deque; when it resumes,
-    the continuation is batched back into that deque and the deque
-    re-enters the owner's ready set.  Thieves target a uniformly random
-    deque in the global deque table.
+    the continuation is batched back into that deque — always its home,
+    on the worker that owns it — and the deque re-enters the owner's
+    ready set.  Thieves target a uniformly random deque in the global
+    deque table and take one task per successful steal.
 
     Latency-incurring operations never block the underlying domain: a
     worker whose fibers are all waiting switches deques or steals. *)
@@ -27,30 +28,16 @@ type steal_policy =
           failed steals, at the cost of synchronizing briefly with the
           victim. *)
 
-type resume_placement =
-  | Home_worker
-      (** The paper-faithful default: a resumed fiber's continuation is
-          re-injected into the deque it suspended with, on the worker it
-          last ran on — the locality-preserving choice. *)
-  | Spread
-      (** Any-worker strawman: each resumed continuation is round-robined
-          across the pool's workers, so the locality claim can be
-          measured rather than assumed.  A quiet worker can be up to the
-          idle-backoff cap (1 ms) late for its first spread-in resume. *)
-
 val create :
   ?name:string ->
   ?workers:int ->
   ?steal_policy:steal_policy ->
-  ?steal_mode:Scheduler_core.steal_mode ->
-  ?resume_placement:resume_placement ->
   ?resume_order:Scheduler_core.resume_order ->
   ?initial_deques:int ->
   unit ->
   t
 (** Spawns [workers - 1] extra domains (default: 2 workers,
-    [Global_deque], {!Scheduler_core.Steal_one}, [Home_worker],
-    {!Scheduler_core.Newest_first}).  The
+    [Global_deque], {!Scheduler_core.Newest_first}).  The
     calling domain becomes worker 0 while inside {!run}.  The instance
     registers in {!Scheduler_core.Registry} under [name] until
     {!shutdown}.
@@ -66,12 +53,10 @@ val create :
     the cost of batch-unfolding parallelism — lane tasks are not
     stealable.
 
-    [steal_mode] selects classical one-task stealing or batched
-    steal-half: the thief takes up to half the victim deque's visible
-    range, runs the oldest stolen task and parks the surplus in its own
-    fresh deque, where further thieves can find it.  Under
-    [Worker_then_deque] the victim worker draw is additionally biased by
-    a per-thief EWMA of past steal hits (see
+    A successful steal takes the victim deque's oldest task, and the
+    thief runs it in a fresh deque of its own.  Under
+    [Worker_then_deque] the victim worker draw is biased by a
+    per-thief EWMA of past steal hits (see
     {!Scheduler_core.Victim_stats}); [Global_deque] keeps the paper's
     uniform draw.
 
@@ -96,8 +81,6 @@ val with_pool :
   ?name:string ->
   ?workers:int ->
   ?steal_policy:steal_policy ->
-  ?steal_mode:Scheduler_core.steal_mode ->
-  ?resume_placement:resume_placement ->
   ?resume_order:Scheduler_core.resume_order ->
   ?initial_deques:int ->
   (t -> 'a) ->
@@ -126,11 +109,9 @@ val scavenge_source : t -> Scheduler_core.scavenge_source
 (** This pool's stealable surface, to hand to a sibling pool (of any
     policy) via its [set_scavenge]. *)
 
-val set_scavenge :
-  t -> ?mode:Scheduler_core.steal_mode -> Scheduler_core.scavenge_source -> unit
+val set_scavenge : t -> Scheduler_core.scavenge_source -> unit
 (** Designate a sibling to raid when this pool's workers idle (after
-    local steals fail, before deep backoff).  [mode] defaults to
-    [Steal_one].
+    local steals fail, before deep backoff).
     @raise Invalid_argument when handed this pool's own source. *)
 
 val clear_scavenge : t -> unit
@@ -200,9 +181,7 @@ type stats = Scheduler_core.stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;

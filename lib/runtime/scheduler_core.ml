@@ -1,5 +1,3 @@
-type steal_mode = Steal_one | Steal_half
-
 (* Where resumed continuations re-enter the scheduling order.
    [Newest_first] is the historical behaviour: resume batches are pushed
    onto their home deque (popped LIFO) and freshly notified deques are
@@ -11,32 +9,18 @@ type steal_mode = Steal_one | Steal_half
    of the batch-unfolding parallelism. *)
 type resume_order = Newest_first | Aged_fifo
 
-let steal_hist_buckets = 8
-
 type counters = {
   mutable tasks_run : int;
   mutable steals : int;
   mutable failed_steals : int;
-  mutable steals_batched : int;
-  mutable tasks_stolen : int;
-  steal_hist : int array;  (* bucket i: steals that took i+1 tasks; last = larger *)
   mutable suspensions : int;
   mutable resumes : int;
   mutable max_owned : int;
   mutable scavenge_steals : int;
-  mutable tasks_scavenged : int;
   mutable heartbeats : int;
       (* bumped once per scheduling-loop iteration; a stall watchdog reads
          it to tell a progressing worker from a stuck one *)
 }
-
-(* Record one successful steal that took [tasks] tasks (>= 1). *)
-let count_steal c ~tasks =
-  c.steals <- c.steals + 1;
-  c.tasks_stolen <- c.tasks_stolen + tasks;
-  if tasks > 1 then c.steals_batched <- c.steals_batched + 1;
-  let bucket = min (tasks - 1) (steal_hist_buckets - 1) in
-  c.steal_hist.(bucket) <- c.steal_hist.(bucket) + 1
 
 (* Per-worker EWMA of steal success per victim slot.  Biases victim
    selection away from chronically empty deques via power-of-two-choices:
@@ -112,9 +96,7 @@ type stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;
@@ -133,18 +115,14 @@ type stats = {
    Deliberately first-class (a plain record, not a functor output) so a
    pool built from one policy can scavenge a pool built from another —
    the thief only ever sees portable thunks through [sink].  [src_steal]
-   returns how many tasks it delivered; tasks that cannot run outside
+   returns whether it delivered a task; tasks that cannot run outside
    their home pool (captured continuations, internal batch re-injections)
    are never exported. *)
 type scavenge_source = {
   src_name : string;  (* registry name of the donor pool *)
   src_workers : unit -> int;  (* victim slots to track *)
   src_steal :
-    rng:Random.State.t ->
-    tracker:Victim_stats.t ->
-    mode:steal_mode ->
-    sink:((unit -> unit) -> unit) ->
-    int;
+    rng:Random.State.t -> tracker:Victim_stats.t -> sink:((unit -> unit) -> unit) -> bool;
   src_donated : int Atomic.t;  (* total tasks this pool gave away *)
 }
 
@@ -213,16 +191,11 @@ module type POLICY = sig
   val deques_allocated : pool -> int
 
   val export_steal :
-    pool ->
-    rng:Random.State.t ->
-    tracker:Victim_stats.t ->
-    mode:steal_mode ->
-    sink:((unit -> unit) -> unit) ->
-    int
+    pool -> rng:Random.State.t -> tracker:Victim_stats.t -> sink:((unit -> unit) -> unit) -> bool
   (* One cross-pool steal attempt against this pool: pick a victim via
-     [tracker], steal per [mode], deliver only pool-portable thunks to
-     [sink] and return how many were delivered.  Non-portable loot must
-     be requeued locally, not dropped. *)
+     [tracker], steal one task, deliver it to [sink] if it is
+     pool-portable and return whether it was delivered.  Non-portable
+     loot must be requeued locally, not dropped. *)
 end
 
 type poller = {
@@ -256,7 +229,7 @@ module Make (P : POLICY) = struct
     submit_rr : int Atomic.t;
     (* Cross-pool scavenging: when set, idle workers raid the sibling after
        local steals fail and before climbing the deep-backoff ladder. *)
-    scavenge : (scavenge_source * steal_mode) option Atomic.t;
+    scavenge : scavenge_source option Atomic.t;
     scav_trackers : Victim_stats.t array;  (* per-worker EWMA over sibling slots *)
     donated : int Atomic.t;  (* tasks exported from this pool via scavenging *)
     entry : registry_entry;
@@ -341,17 +314,15 @@ module Make (P : POLICY) = struct
   let try_scavenge t ctx w =
     match Atomic.get t.scavenge with
     | None -> false
-    | Some (src, mode) ->
+    | Some src ->
         let tracker = t.scav_trackers.(ctx.wid) in
         Victim_stats.ensure_capacity tracker (src.src_workers ());
-        let got =
-          src.src_steal ~rng:ctx.rng ~tracker ~mode
+        if
+          src.src_steal ~rng:ctx.rng ~tracker
             ~sink:(fun f -> P.inject t.pool w ~pinned:false f)
-        in
-        if got > 0 then begin
+        then begin
           ctx.counters.scavenge_steals <- ctx.counters.scavenge_steals + 1;
-          ctx.counters.tasks_scavenged <- ctx.counters.tasks_scavenged + got;
-          ignore (Atomic.fetch_and_add src.src_donated got : int);
+          Atomic.incr src.src_donated;
           mark ctx Tracing.Scavenge;
           true
         end
@@ -445,11 +416,6 @@ module Make (P : POLICY) = struct
 
   let stats t =
     let sum f = Array.fold_left (fun acc c -> acc + f c.counters) 0 t.ctxs in
-    let hist = Array.make steal_hist_buckets 0 in
-    Array.iter
-      (fun c ->
-        Array.iteri (fun i v -> hist.(i) <- hist.(i) + v) c.counters.steal_hist)
-      t.ctxs;
     let wd_stalls, wd_oldest =
       List.fold_left
         (fun (s, o) f ->
@@ -457,13 +423,13 @@ module Make (P : POLICY) = struct
           (s + s', Float.max o o'))
         (0, 0.) (Atomic.get t.watchdog_fns)
     in
+    let steals = sum (fun c -> c.steals) in
+    let scavenge_steals = sum (fun c -> c.scavenge_steals) in
     {
       tasks_run = sum (fun c -> c.tasks_run);
-      steals = sum (fun c -> c.steals);
+      steals;
       failed_steals = sum (fun c -> c.failed_steals);
-      steals_batched = sum (fun c -> c.steals_batched);
-      tasks_stolen = sum (fun c -> c.tasks_stolen);
-      tasks_per_steal_hist = hist;
+      tasks_stolen = steals;
       deques_allocated = P.deques_allocated t.pool;
       suspensions = sum (fun c -> c.suspensions);
       resumes = sum (fun c -> c.resumes);
@@ -478,8 +444,8 @@ module Make (P : POLICY) = struct
           (fun acc p -> match p.syscalls_fn with Some f -> acc + f () | None -> acc)
           0 t.pollers;
       conns_shed = List.fold_left (fun acc f -> acc + f ()) 0 (Atomic.get t.shed_fns);
-      scavenge_steals = sum (fun c -> c.scavenge_steals);
-      tasks_scavenged = sum (fun c -> c.tasks_scavenged);
+      scavenge_steals;
+      tasks_scavenged = scavenge_steals;
       tasks_donated = Atomic.get t.donated;
       stalls_detected = wd_stalls;
       oldest_parked_ms = wd_oldest;
@@ -498,14 +464,10 @@ module Make (P : POLICY) = struct
                 tasks_run = 0;
                 steals = 0;
                 failed_steals = 0;
-                steals_batched = 0;
-                tasks_stolen = 0;
-                steal_hist = Array.make steal_hist_buckets 0;
                 suspensions = 0;
                 resumes = 0;
                 max_owned = 0;
                 scavenge_steals = 0;
-                tasks_scavenged = 0;
                 heartbeats = 0;
               };
             emit =
@@ -652,16 +614,14 @@ module Make (P : POLICY) = struct
     {
       src_name = t.entry.reg_name;
       src_workers = (fun () -> Array.length t.ctxs);
-      src_steal =
-        (fun ~rng ~tracker ~mode ~sink ->
-          P.export_steal t.pool ~rng ~tracker ~mode ~sink);
+      src_steal = (fun ~rng ~tracker ~sink -> P.export_steal t.pool ~rng ~tracker ~sink);
       src_donated = t.donated;
     }
 
-  let set_scavenge t ?(mode = Steal_one) src =
+  let set_scavenge t src =
     if src.src_donated == t.donated then
       invalid_arg (P.label ^ ".set_scavenge: a pool cannot scavenge itself");
-    Atomic.set t.scavenge (Some (src, mode))
+    Atomic.set t.scavenge (Some src)
 
   let clear_scavenge t = Atomic.set t.scavenge None
 end

@@ -23,13 +23,6 @@
     {!stats}.  Counters that a policy has no use for stay at their
     degenerate values, so every pool reports the same record. *)
 
-type steal_mode =
-  | Steal_one  (** classical Chase–Lev: one task per successful steal *)
-  | Steal_half
-      (** batched {!Lhws_deque.Chase_lev.steal_half}: take up to half the
-          victim's visible range per steal; surplus lands in the thief's
-          own deque *)
-
 (** Where resumed continuations re-enter the scheduling order — the
     fairness knob for interacting computations under saturation. *)
 type resume_order =
@@ -47,37 +40,23 @@ type resume_order =
           clock.  Lane tasks are serviced after the active deque and
           before ready-deque switches or steals, and are not stealable *)
 
-val steal_hist_buckets : int
-(** Number of buckets in the tasks-per-steal histogram (8): bucket [i]
-    counts successful steals that took [i + 1] tasks, the last bucket
-    absorbing everything larger. *)
-
 type counters = {
   mutable tasks_run : int;  (** tasks executed by this worker's loop *)
-  mutable steals : int;  (** successful steals landed by this worker *)
+  mutable steals : int;
+      (** successful steals landed by this worker; each takes one task *)
   mutable failed_steals : int;  (** steal attempts that found no task *)
-  mutable steals_batched : int;
-      (** successful steals that took more than one task *)
-  mutable tasks_stolen : int;  (** total tasks acquired across all steals *)
-  steal_hist : int array;  (** tasks-per-steal histogram, {!steal_hist_buckets} wide *)
   mutable suspensions : int;  (** fibers suspended on this worker *)
   mutable resumes : int;  (** resumed continuations re-injected by this worker *)
   mutable max_owned : int;  (** high-water mark of live deques owned at once *)
   mutable scavenge_steals : int;
-      (** successful cross-pool steals landed by this worker *)
-  mutable tasks_scavenged : int;
-      (** tasks acquired from sibling pools across all scavenge steals *)
+      (** successful cross-pool steals landed by this worker; each takes
+          one task *)
   mutable heartbeats : int;
       (** scheduling-loop iterations completed by this worker; advances
           while idling (backoff sleeps return to the loop) and stops only
           when the worker is wedged inside a task — what {!Watchdog}
           compares across sweeps to tell progress from a stuck worker *)
 }
-
-val count_steal : counters -> tasks:int -> unit
-(** Record one successful steal that acquired [tasks] (>= 1) tasks:
-    bumps [steals], [tasks_stolen], [steals_batched] (when [tasks > 1])
-    and the histogram bucket. *)
 
 (** Per-worker EWMA of steal success per victim slot, for biasing victim
     selection away from chronically empty deques.  Owner-written (each
@@ -144,15 +123,9 @@ type stats = {
           resumed continuations and scavenged loot alike) *)
   steals : int;
   failed_steals : int;
-  steals_batched : int;
-      (** successful steals that took more than one task (0 under
-          [Steal_one]) *)
   tasks_stolen : int;
-      (** total tasks moved by stealing; equals [steals] under
-          [Steal_one], >= [steals] under [Steal_half] *)
-  tasks_per_steal_hist : int array;
-      (** bucket [i] counts steals that took [i + 1] tasks (last bucket
-          absorbs larger batches); sums to [steals] *)
+      (** total tasks moved by stealing; always equals [steals], since
+          every steal takes exactly one task *)
   deques_allocated : int;
   suspensions : int;
   resumes : int;
@@ -175,7 +148,8 @@ type stats = {
       (** successful cross-pool steals this pool's workers landed against
           their scavenge sibling (0 unless [set_scavenge] was called) *)
   tasks_scavenged : int;
-      (** total tasks this pool acquired from its scavenge sibling; each
+      (** total tasks this pool acquired from its scavenge sibling; equals
+          [scavenge_steals], since a scavenge takes one task.  Each
           scavenged task is counted exactly once, by the thief pool *)
   tasks_donated : int;
       (** total tasks sibling pools took {e from} this pool via
@@ -211,13 +185,10 @@ type scavenge_source = {
   src_workers : unit -> int;
       (** victim slots a thief should track (the donor's worker count) *)
   src_steal :
-    rng:Random.State.t ->
-    tracker:Victim_stats.t ->
-    mode:steal_mode ->
-    sink:((unit -> unit) -> unit) ->
-    int;
-      (** one steal attempt: pick a victim via [tracker], deliver portable
-          thunks to [sink], return how many were delivered *)
+    rng:Random.State.t -> tracker:Victim_stats.t -> sink:((unit -> unit) -> unit) -> bool;
+      (** one steal attempt: pick a victim via [tracker], steal one task,
+          deliver it to [sink] if it is portable, return whether it was
+          delivered *)
   src_donated : int Atomic.t;
       (** total tasks this donor has given away (feeds [tasks_donated]) *)
 }
@@ -333,18 +304,13 @@ module type POLICY = sig
   (** Lifetime deque allocations, for {!stats}. *)
 
   val export_steal :
-    pool ->
-    rng:Random.State.t ->
-    tracker:Victim_stats.t ->
-    mode:steal_mode ->
-    sink:((unit -> unit) -> unit) ->
-    int
+    pool -> rng:Random.State.t -> tracker:Victim_stats.t -> sink:((unit -> unit) -> unit) -> bool
   (** One cross-pool steal attempt {e against} this pool, run on a
       foreign thread (a sibling pool's worker): pick a victim with
       {!Victim_stats.pick_foreign} on [tracker] (already grown to this
-      pool's worker count), steal per [mode] using the policy's normal
-      thief-side machinery, deliver only pool-portable thunks to [sink]
-      and return how many were delivered.  Loot that cannot run outside
+      pool's worker count), steal one task using the policy's normal
+      thief-side machinery, deliver it to [sink] if it is pool-portable
+      and return whether it was delivered.  Loot that cannot run outside
       this pool (captured continuations, policy-internal re-injections)
       must be requeued locally, never dropped or exported.  The caller
       records hit/miss bookkeeping against its own counters; this
@@ -456,10 +422,9 @@ module Make (P : POLICY) : sig
   (** This pool's stealable surface, to hand to a sibling's
       {!set_scavenge}.  Stays valid for the pool's lifetime. *)
 
-  val set_scavenge : t -> ?mode:steal_mode -> scavenge_source -> unit
+  val set_scavenge : t -> scavenge_source -> unit
   (** Designate a sibling to raid when idle (see the module-level
-      scavenging overview).  [mode] defaults to {!Steal_one}.  May be
-      called while running; takes effect at workers' next idle episode.
+      scavenging overview).  May be called while running; takes effect at workers' next idle episode.
       @raise Invalid_argument when [src] is this pool's own source. *)
 
   val clear_scavenge : t -> unit

@@ -15,9 +15,7 @@ type stats = Scheduler_core.stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;
@@ -44,9 +42,7 @@ let stats t =
        n);
     steals = 0;
     failed_steals = 0;
-    steals_batched = 0;
     tasks_stolen = 0;
-    tasks_per_steal_hist = Array.make Scheduler_core.steal_hist_buckets 0;
     deques_allocated = 0;
     suspensions = 0;
     resumes = 0;

@@ -82,9 +82,7 @@ type stats = Scheduler_core.stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;

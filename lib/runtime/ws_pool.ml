@@ -11,15 +11,11 @@ type wrec = {
   mutable pinned : (unit -> unit) list;
 }
 
-type pstate = { slots : wrec array; steal_mode : Core.steal_mode }
+type pstate = { slots : wrec array }
 
 (* Victim choice is EWMA-biased (power-of-two-choices over observed hit
    rates), so repeated attempts against a chronically empty worker decay
-   fast.  Under [Steal_half] the first stolen task is returned to run now
-   and the surplus is pushed onto the thief's own (empty — we only steal
-   when out of local work) deque, where other thieves can in turn find
-   it: batching both amortises the victim scan and spreads work in
-   O(log n) rounds instead of one task per round trip. *)
+   fast.  A successful steal takes the victim's oldest task. *)
 let try_steal p w =
   let n = Array.length p.slots in
   if n = 1 then None
@@ -34,59 +30,35 @@ let try_steal p w =
       Core.Victim_stats.record w.victims vid ~hit:false;
       None
     end
-    else begin
-    let stolen =
-      match p.steal_mode with
-      | Core.Steal_one -> (
-          match Chase_lev.steal p.slots.(vid).q with
-          | Some task -> Some (task, 1)
-          | None -> None)
-      | Core.Steal_half ->
-          let first = ref None in
-          let k =
-            Chase_lev.steal_half p.slots.(vid).q (fun task ->
-                match !first with
-                | None -> first := Some task
-                | Some _ -> Chase_lev.push_bottom w.q task)
-          in
-          (match !first with Some task -> Some (task, k) | None -> None)
-    in
-    match stolen with
-    | Some (task, k) ->
-        Core.count_steal w.ctx.counters ~tasks:k;
-        Core.Victim_stats.record w.victims vid ~hit:true;
-        Core.mark w.ctx Tracing.Steal;
-        Some task
-    | None ->
-        w.ctx.counters.failed_steals <- w.ctx.counters.failed_steals + 1;
-        Core.Victim_stats.record w.victims vid ~hit:false;
-        None
-    end
+    else
+      match Chase_lev.steal p.slots.(vid).q with
+      | Some task ->
+          w.ctx.counters.steals <- w.ctx.counters.steals + 1;
+          Core.Victim_stats.record w.victims vid ~hit:true;
+          Core.mark w.ctx Tracing.Steal;
+          Some task
+      | None ->
+          w.ctx.counters.failed_steals <- w.ctx.counters.failed_steals + 1;
+          Core.Victim_stats.record w.victims vid ~hit:false;
+          None
   end
 
 (* One cross-pool steal attempt against this pool, run by a sibling
-   pool's idle worker.  Every task here is a plain thunk, so under
-   [Steal_half] the whole batch is exported to [sink] (there is no
-   thief-local deque to park surplus in — the sink injects each task into
-   the thief pool's own queues).  Caveat: a thunk that uses this pool's
+   pool's idle worker.  Every task here is a plain thunk, so the stolen
+   one always goes to [sink].  Caveat: a thunk that uses this pool's
    fiber operations ([await]/[fork2] capture the pool handle) is only
    safe to scavenge into another [Ws_pool]; leaf thunks are safe
    anywhere. *)
-let export_steal p ~rng ~tracker ~mode ~sink =
+let export_steal p ~rng ~tracker ~sink =
   let n = Array.length p.slots in
   let vid = Core.Victim_stats.pick_foreign tracker rng ~n in
-  let got =
-    match mode with
-    | Core.Steal_one -> (
-        match Chase_lev.steal p.slots.(vid).q with
-        | Some task ->
-            sink task;
-            1
-        | None -> 0)
-    | Core.Steal_half -> Chase_lev.steal_half p.slots.(vid).q sink
-  in
-  Core.Victim_stats.record tracker vid ~hit:(got > 0);
-  got
+  let stolen = Chase_lev.steal p.slots.(vid).q in
+  Core.Victim_stats.record tracker vid ~hit:(stolen <> None);
+  match stolen with
+  | Some task ->
+      sink task;
+      true
+  | None -> false
 
 (* --- the policy: one deque per worker, tasks run to completion --- *)
 
@@ -94,15 +66,15 @@ module Policy = struct
   let label = "Ws_pool"
   let rng_salt = 0xB10C
 
-  type config = Core.steal_mode
+  type config = unit
 
-  let default_config = Core.Steal_one
+  let default_config = ()
 
   type task = unit -> unit
   type pool = pstate
   type wstate = wrec
 
-  let make_pool steal_mode ~ctxs ~self_wid:_ =
+  let make_pool () ~ctxs ~self_wid:_ =
     let victims = Array.length ctxs in
     {
       slots =
@@ -116,7 +88,6 @@ module Policy = struct
               pinned = [];
             })
           ctxs;
-      steal_mode;
     }
 
   let worker p i = p.slots.(i)
@@ -146,14 +117,12 @@ module C = Core.Make (Policy)
 
 type t = C.t
 
-let create ?name ?workers ?steal_mode () =
-  C.create ?name ?workers ?config:steal_mode ()
+let create ?name ?workers () = C.create ?name ?workers ()
 
 let run = C.run
 let shutdown = C.shutdown
 
-let with_pool ?name ?workers ?steal_mode f =
-  C.with_pool ?name ?workers ?config:steal_mode f
+let with_pool ?name ?workers f = C.with_pool ?name ?workers f
 
 let set_tracer = C.set_tracer
 let register_poller = C.register_poller
@@ -225,9 +194,7 @@ type stats = Scheduler_core.stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;

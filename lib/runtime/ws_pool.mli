@@ -13,24 +13,15 @@
 
 type t
 
-val create :
-  ?name:string -> ?workers:int -> ?steal_mode:Scheduler_core.steal_mode -> unit -> t
-(** [steal_mode] (default {!Scheduler_core.Steal_one}) selects classical
-    one-task stealing or batched steal-half; under steal-half, surplus
-    stolen tasks land in the thief's own deque.  Victim selection is
-    EWMA-biased in both modes (see {!Scheduler_core.Victim_stats}).
-    The instance registers in {!Scheduler_core.Registry} under [name]
+val create : ?name:string -> ?workers:int -> unit -> t
+(** A successful steal takes the victim's oldest task; victim selection
+    is EWMA-biased (see {!Scheduler_core.Victim_stats}).  The instance registers in {!Scheduler_core.Registry} under [name]
     until {!shutdown}. *)
 
 val run : t -> (unit -> 'a) -> 'a
 val shutdown : t -> unit
 
-val with_pool :
-  ?name:string ->
-  ?workers:int ->
-  ?steal_mode:Scheduler_core.steal_mode ->
-  (t -> 'a) ->
-  'a
+val with_pool : ?name:string -> ?workers:int -> (t -> 'a) -> 'a
 
 val name : t -> string
 (** The {!Scheduler_core.Registry} name this pool was created under. *)
@@ -44,8 +35,7 @@ val scavenge_source : t -> Scheduler_core.scavenge_source
     safe to scavenge into another [Ws_pool]; leaf thunks are safe in any
     sibling. *)
 
-val set_scavenge :
-  t -> ?mode:Scheduler_core.steal_mode -> Scheduler_core.scavenge_source -> unit
+val set_scavenge : t -> Scheduler_core.scavenge_source -> unit
 (** Designate a sibling to raid when this pool's workers idle.
     @raise Invalid_argument when handed this pool's own source. *)
 
@@ -95,9 +85,7 @@ type stats = Scheduler_core.stats = {
   tasks_run : int;
   steals : int;
   failed_steals : int;
-  steals_batched : int;
   tasks_stolen : int;
-  tasks_per_steal_hist : int array;
   deques_allocated : int;
   suspensions : int;
   resumes : int;

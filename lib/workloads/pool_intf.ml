@@ -22,11 +22,7 @@ module type POOL = sig
   val scavenge_source :
     t -> Lhws_runtime.Scheduler_core.scavenge_source option
 
-  val set_scavenge :
-    t ->
-    ?mode:Lhws_runtime.Scheduler_core.steal_mode ->
-    Lhws_runtime.Scheduler_core.scavenge_source ->
-    bool
+  val set_scavenge : t -> Lhws_runtime.Scheduler_core.scavenge_source -> bool
 end
 
 type pool = (module POOL)
@@ -43,8 +39,8 @@ module Lhws_instance = struct
 
   let scavenge_source t = Some (Lhws_runtime.Lhws_pool.scavenge_source t)
 
-  let set_scavenge t ?mode src =
-    Lhws_runtime.Lhws_pool.set_scavenge t ?mode src;
+  let set_scavenge t src =
+    Lhws_runtime.Lhws_pool.set_scavenge t src;
     true
 end
 
@@ -55,32 +51,9 @@ module Ws_instance = struct
   let name = "ws"
   let scavenge_source t = Some (Lhws_runtime.Ws_pool.scavenge_source t)
 
-  let set_scavenge t ?mode src =
-    Lhws_runtime.Ws_pool.set_scavenge t ?mode src;
+  let set_scavenge t src =
+    Lhws_runtime.Ws_pool.set_scavenge t src;
     true
-end
-
-(* Steal-half variants of the stealing pools, so POOL-generic workloads,
-   benches and the conformance matrix can exercise both steal modes by
-   name.  The lhws variant keeps the default (analyzed) steal policy. *)
-module Lhws_steal_half_instance = struct
-  include Lhws_instance
-
-  let create ?name ?workers () =
-    Lhws_runtime.Lhws_pool.create ?name ?workers
-      ~steal_mode:Lhws_runtime.Scheduler_core.Steal_half ()
-
-  let name = "lhws-steal-half"
-end
-
-module Ws_steal_half_instance = struct
-  include Ws_instance
-
-  let create ?name ?workers () =
-    Lhws_runtime.Ws_pool.create ?name ?workers
-      ~steal_mode:Lhws_runtime.Scheduler_core.Steal_half ()
-
-  let name = "ws-steal-half"
 end
 
 (* Age-fair resume variant of the lhws pool: resumed continuations are
@@ -116,26 +89,20 @@ module Threaded_instance = struct
      (tasks become threads immediately), and its threads never idle-loop,
      so it can neither donate nor scavenge. *)
   let scavenge_source _t = None
-  let set_scavenge _t ?mode:_ _src = false
+  let set_scavenge _t _src = false
 end
 
 let lhws : pool = (module Lhws_instance)
 let ws : pool = (module Ws_instance)
 let threads : pool = (module Threaded_instance)
-let lhws_steal_half : pool = (module Lhws_steal_half_instance)
-let ws_steal_half : pool = (module Ws_steal_half_instance)
 let lhws_aged_fifo : pool = (module Lhws_aged_fifo_instance)
 
 let by_name = function
   | "lhws" -> lhws
   | "ws" -> ws
   | "threads" -> threads
-  | "lhws-steal-half" -> lhws_steal_half
-  | "ws-steal-half" -> ws_steal_half
   | "lhws-aged-fifo" -> lhws_aged_fifo
   | s ->
       invalid_arg
         (Printf.sprintf
-           "Pool_intf.by_name: unknown pool %S (want \
-            lhws|ws|threads|lhws-steal-half|ws-steal-half|lhws-aged-fifo)"
-           s)
+           "Pool_intf.by_name: unknown pool %S (want lhws|ws|threads|lhws-aged-fifo)" s)

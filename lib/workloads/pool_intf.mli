@@ -54,11 +54,7 @@ module type POOL = sig
       sibling could steal (thread-per-task: tasks become threads
       immediately). *)
 
-  val set_scavenge :
-    t ->
-    ?mode:Lhws_runtime.Scheduler_core.steal_mode ->
-    Lhws_runtime.Scheduler_core.scavenge_source ->
-    bool
+  val set_scavenge : t -> Lhws_runtime.Scheduler_core.scavenge_source -> bool
   (** Points this pool's idle workers at a sibling's source; returns
       [false] when this pool cannot scavenge (thread-per-task: its
       threads never idle-loop).
@@ -74,12 +70,6 @@ type pool = (module POOL)
 module Lhws_instance : POOL with type t = Lhws_runtime.Lhws_pool.t
 module Ws_instance : POOL with type t = Lhws_runtime.Ws_pool.t
 module Threaded_instance : POOL with type t = Lhws_runtime.Threaded_pool.t
-
-module Lhws_steal_half_instance : POOL with type t = Lhws_runtime.Lhws_pool.t
-(** {!Lhws_instance} with batched steal-half stealing enabled. *)
-
-module Ws_steal_half_instance : POOL with type t = Lhws_runtime.Ws_pool.t
-(** {!Ws_instance} with batched steal-half stealing enabled. *)
 
 module Lhws_aged_fifo_instance : POOL with type t = Lhws_runtime.Lhws_pool.t
 (** {!Lhws_instance} with [Aged_fifo] resume fairness: resumed
@@ -97,11 +87,8 @@ val threads : pool
 (** {!Lhws_runtime.Threaded_pool}: a thread per task, latency hidden by
     oversubscription. *)
 
-val lhws_steal_half : pool
-val ws_steal_half : pool
 val lhws_aged_fifo : pool
 
 val by_name : string -> pool
-(** ["lhws"], ["ws"], ["threads"], ["lhws-steal-half"],
-    ["ws-steal-half"] or ["lhws-aged-fifo"].
+(** ["lhws"], ["ws"], ["threads"] or ["lhws-aged-fifo"].
     @raise Invalid_argument otherwise. *)

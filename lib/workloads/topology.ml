@@ -1,5 +1,3 @@
-module Core = Lhws_runtime.Scheduler_core
-
 type class_ = Latency | Batch | Custom of string
 
 let class_name = function Latency -> "latency" | Batch -> "batch" | Custom s -> s
@@ -9,18 +7,10 @@ type spec = {
   spec_pool : Pool_intf.pool;
   spec_workers : int;
   spec_scavenges : class_ option;
-  spec_scavenge_mode : Core.steal_mode;
 }
 
-let spec ?(pool = Pool_intf.lhws) ?(workers = 2) ?scavenges
-    ?(scavenge_mode = Core.Steal_one) class_ =
-  {
-    spec_class = class_;
-    spec_pool = pool;
-    spec_workers = workers;
-    spec_scavenges = scavenges;
-    spec_scavenge_mode = scavenge_mode;
-  }
+let spec ?(pool = Pool_intf.lhws) ?(workers = 2) ?scavenges class_ =
+  { spec_class = class_; spec_pool = pool; spec_workers = workers; spec_scavenges = scavenges }
 
 (* One member pool, existentially packaged: the class is the routing key,
    the module + handle pair is everything needed to talk to it.
@@ -133,8 +123,7 @@ let create ?(name = "topology") specs =
              in
              let (Member thief) = find t s.spec_class in
              let (module T) = thief.m_pool in
-             if not (T.set_scavenge thief.m_handle ~mode:s.spec_scavenge_mode src)
-             then
+             if not (T.set_scavenge thief.m_handle src) then
                invalid_arg
                  (Printf.sprintf
                     "Topology.create: class %S (%s) cannot scavenge"

@@ -42,11 +42,9 @@ val spec :
   ?pool:Pool_intf.pool ->
   ?workers:int ->
   ?scavenges:class_ ->
-  ?scavenge_mode:Lhws_runtime.Scheduler_core.steal_mode ->
   class_ ->
   spec
-(** Defaults: the lhws pool kind, 2 workers, no scavenging,
-    [Steal_one].  [scavenges] names the {e donor} class this pool may
+(** Defaults: the lhws pool kind, 2 workers, no scavenging.  [scavenges] names the {e donor} class this pool may
     raid when idle. *)
 
 type t

@@ -1,9 +1,7 @@
 (* The Chase-Lev stress layer, and the mutation checks that prove it can
-   actually catch deque bugs: six deliberately broken deques — a racy
-   unsynchronized one, one that steals from the wrong end, one that
-   silently drops elements, and three broken steal-half variants
-   (off-by-one floor split, single-CAS range reservation, stale-top blind
-   store) — must each be flagged. *)
+   actually catch deque bugs: three deliberately broken deques — a racy
+   unsynchronized one, one that steals from the wrong end, and one that
+   silently drops elements — must each be flagged. *)
 
 module Stress = Lhws_proptest.Stress
 module CL = Lhws_deque.Chase_lev
@@ -25,24 +23,6 @@ let test_real_sequential_model () =
     if not (Stress.ok r) then
       Alcotest.failf "seed %d flagged: %a" seed (fun ppf -> Stress.pp_report ppf) r
   done
-
-let test_real_hammer_steal_half () =
-  let r = Stress.hammer real ~thieves:3 ~items:20_000 ~steal:`Half () in
-  if not (Stress.ok r) then Alcotest.failf "chase-lev flagged: %a" (fun ppf -> Stress.pp_report ppf) r;
-  Alcotest.(check int) "all consumed" 20_000 (r.Stress.popped + r.Stress.stolen)
-
-let test_real_hammer_steal_half_paused () =
-  (* The owner pause opens consecutive-steal windows on a single core, so
-     thieves land real multi-element batches against an active owner. *)
-  let r = Stress.hammer real ~thieves:4 ~items:10_000 ~pop_every:3 ~owner_pause_every:50 ~steal:`Half () in
-  if not (Stress.ok r) then Alcotest.failf "chase-lev flagged: %a" (fun ppf -> Stress.pp_report ppf) r
-
-let test_real_split_model () =
-  let r = Stress.split_model real ~max_size:64 () in
-  if not (Stress.ok r) then Alcotest.failf "chase-lev flagged: %a" (fun ppf -> Stress.pp_report ppf) r;
-  (* Sum of ceil(n/2) over n = 0..64. *)
-  let expect = List.init 65 (fun n -> (n + 1) / 2) |> List.fold_left ( + ) 0 in
-  Alcotest.(check int) "exact split sizes" expect r.Stress.stolen
 
 (* --- mutation 1: no synchronization at all --- *)
 
@@ -86,22 +66,6 @@ module Racy : Stress.DEQUE = struct
       Some x
     end
     else None
-
-  let steal_half d f =
-    let n = d.bottom - d.top in
-    if n <= 0 then 0
-    else begin
-      let want = (n + 1) / 2 in
-      let k = ref 0 in
-      for _ = 1 to want do
-        match steal d with
-        | Some x ->
-            f x;
-            incr k
-        | None -> ()
-      done;
-      !k
-    end
 end
 
 let test_racy_deque_caught () =
@@ -142,23 +106,6 @@ module Wrong_end : Stress.DEQUE = struct
             Some x)
 
   let steal = pop_bottom (* BUG: should take the oldest *)
-
-  let steal_half d f =
-    (* Same wrong end, batched: takes the newest half. *)
-    with_mu d (fun () ->
-        let n = List.length d.items in
-        let want = (n + 1) / 2 in
-        let rec take i =
-          if i >= want then i
-          else
-            match d.items with
-            | [] -> i
-            | x :: rest ->
-                d.items <- rest;
-                f x;
-                take (i + 1)
-        in
-        take 0)
 end
 
 let test_wrong_end_caught () =
@@ -200,212 +147,11 @@ module Lossy : Stress.DEQUE = struct
     else got
 
   let steal t = CL.steal t.d
-  let steal_half t f = CL.steal_half t.d f
 end
 
 let test_lossy_caught () =
   let r = Stress.sequential_model (module Lossy) ~ops:4_000 ~seed:3 () in
   Alcotest.(check bool) "loss caught" true (r.Stress.lost > 0 || r.Stress.reordered > 0)
-
-(* --- mutation 4: off-by-one split (floor instead of ceil) --- *)
-
-module Floor_split : Stress.DEQUE = struct
-  include CL
-
-  let steal_half d f =
-    (* BUG: floor split — a 1-element victim yields nothing, a 3-element
-       one only a third.  Loses and duplicates nothing, so only the split
-       contract check can see it. *)
-    let want = CL.size d / 2 in
-    let rec go i =
-      if i >= want then i
-      else
-        match CL.steal d with
-        | Some x ->
-            f x;
-            go (i + 1)
-        | None -> i
-    in
-    go 0
-end
-
-let test_floor_split_caught () =
-  let r = Stress.split_model (module Floor_split) ~max_size:64 () in
-  Alcotest.(check bool) "wrong split size caught" true (r.Stress.reordered > 0)
-
-(* --- substrate for the two concurrent steal-half mutations ---
-   A minimal, correct Chase-Lev core (option slots, atomic buffer
-   publication), so each broken variant below differs from a sound
-   algorithm only in its steal_half.  We cannot build these over the real
-   [Chase_lev] because its indices are private — and that is the point:
-   the bugs live in the reservation protocol itself. *)
-
-module Mini = struct
-  type 'a t = {
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-    buf : 'a option array Atomic.t;
-  }
-
-  let create ?(capacity = 16) () =
-    {
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-      buf = Atomic.make (Array.make (max 2 capacity) None);
-    }
-
-  let slot buf i = i mod Array.length buf
-
-  let grow d t b =
-    let old = Atomic.get d.buf in
-    let bigger = Array.make (2 * Array.length old) None in
-    for i = t to b - 1 do
-      bigger.(slot bigger i) <- old.(slot old i)
-    done;
-    Atomic.set d.buf bigger
-
-  let push_bottom d x =
-    let b = Atomic.get d.bottom in
-    let t = Atomic.get d.top in
-    if b - t >= Array.length (Atomic.get d.buf) then grow d t b;
-    let buf = Atomic.get d.buf in
-    buf.(slot buf b) <- Some x;
-    Atomic.set d.bottom (b + 1)
-
-  let pop_bottom d =
-    let b = Atomic.get d.bottom - 1 in
-    Atomic.set d.bottom b;
-    let t = Atomic.get d.top in
-    if b < t then begin
-      Atomic.set d.bottom t;
-      None
-    end
-    else begin
-      let buf = Atomic.get d.buf in
-      let x = buf.(slot buf b) in
-      if b > t then x
-      else begin
-        let won = Atomic.compare_and_set d.top t (t + 1) in
-        Atomic.set d.bottom (t + 1);
-        if won then x else None
-      end
-    end
-
-  let steal d =
-    let t = Atomic.get d.top in
-    let b = Atomic.get d.bottom in
-    if t >= b then None
-    else begin
-      let buf = Atomic.get d.buf in
-      let x = buf.(slot buf t) in
-      if Atomic.compare_and_set d.top t (t + 1) then x else None
-    end
-
-  (* No steal_half here: each variant below supplies its own broken one
-     (the sound batch would CAS each element individually, as the real
-     deque does). *)
-end
-
-(* --- mutation 5: one CAS reserves the whole range --- *)
-
-module Range_cas : Stress.DEQUE = struct
-  include Mini
-
-  let steal_half d f =
-    (* BUG: reserving [t, t + want) with a single CAS on top.  The owner's
-       pop_bottom plain-takes any slot strictly above the top it read, so
-       a thief that stalls between its (t, b) read and the CAS can claim
-       slots the owner has meanwhile popped or reused — duplicating and
-       losing elements.  The relax loop widens the stale window so a
-       single-core schedule hits it too (cf. the Racy mutation). *)
-    let t = Atomic.get d.top in
-    let b = Atomic.get d.bottom in
-    let n = b - t in
-    if n <= 0 then 0
-    else begin
-      let want = (n + 1) / 2 in
-      (* A real sleep, not a relax loop: the owner must have time to pop
-         its way down INTO the claimed [t, t + want) range — thousands of
-         pops when the deque is long — before the CAS lands.  The CAS
-         still succeeds as long as the owner has not consumed index t
-         itself (plain pops never touch top), which is exactly the
-         unsoundness. *)
-      Unix.sleepf 50e-6;
-      if Atomic.compare_and_set d.top t (t + want) then begin
-        let buf = Atomic.get d.buf in
-        for i = t to t + want - 1 do
-          Option.iter f buf.(Mini.slot buf i)
-        done;
-        want
-      end
-      else 0
-    end
-end
-
-let test_range_cas_caught () =
-  (* The window needs the owner popping while a thief holds a stale (t, b)
-     snapshot, so pop aggressively and give thieves the CPU; retry a few
-     times, as with the Racy mutation. *)
-  let violations = ref 0 in
-  let attempts = 10 in
-  (try
-     for _ = 1 to attempts do
-       let r =
-         Stress.hammer (module Range_cas) ~thieves:4 ~items:20_000 ~pop_every:2
-           ~owner_pause_every:20 ~steal:`Half ()
-       in
-       violations := !violations + r.Stress.lost + r.Stress.duplicated + r.Stress.reordered;
-       if !violations > 0 then raise Exit
-     done
-   with Exit -> ());
-  Alcotest.(check bool) "range-CAS reservation caught" true (!violations > 0)
-
-(* --- mutation 6: stale-top read published with a blind store --- *)
-
-module Stale_top : Stress.DEQUE = struct
-  include Mini
-
-  let steal_half d f =
-    (* BUG: the batch is read from a stale top and published with a plain
-       store instead of a CAS.  Two overlapping thieves hand out the same
-       elements, and a store of an older t + want can move top backwards
-       past a concurrent thief's reservation. *)
-    let t = Atomic.get d.top in
-    let b = Atomic.get d.bottom in
-    let n = b - t in
-    if n <= 0 then 0
-    else begin
-      let want = (n + 1) / 2 in
-      let buf = Atomic.get d.buf in
-      let taken = ref [] in
-      for i = t to t + want - 1 do
-        match buf.(Mini.slot buf i) with
-        | Some x -> taken := x :: !taken
-        | None -> ()
-      done;
-      for _ = 1 to 256 do
-        Domain.cpu_relax ()
-      done;
-      Atomic.set d.top (t + want);
-      List.iter f (List.rev !taken);
-      want
-    end
-end
-
-let test_stale_top_caught () =
-  let violations = ref 0 in
-  let attempts = 10 in
-  (try
-     for _ = 1 to attempts do
-       let r =
-         Stress.hammer (module Stale_top) ~thieves:4 ~items:20_000 ~owner_pause_every:20
-           ~steal:`Half ()
-       in
-       violations := !violations + r.Stress.lost + r.Stress.duplicated + r.Stress.reordered;
-       if !violations > 0 then raise Exit
-     done
-   with Exit -> ());
-  Alcotest.(check bool) "stale-top blind store caught" true (!violations > 0)
 
 let () =
   Alcotest.run "stress"
@@ -415,10 +161,6 @@ let () =
           Alcotest.test_case "owner vs thieves" `Slow test_real_hammer;
           Alcotest.test_case "six thieves" `Slow test_real_hammer_many_thieves;
           Alcotest.test_case "sequential model" `Quick test_real_sequential_model;
-          Alcotest.test_case "steal-half hammer" `Slow test_real_hammer_steal_half;
-          Alcotest.test_case "steal-half hammer (paused owner)" `Slow
-            test_real_hammer_steal_half_paused;
-          Alcotest.test_case "split model" `Quick test_real_split_model;
         ] );
       ( "mutations",
         [
@@ -426,8 +168,5 @@ let () =
           Alcotest.test_case "wrong-end steal caught" `Quick test_wrong_end_caught;
           Alcotest.test_case "wrong-end steal caught (hammer)" `Slow test_wrong_end_caught_concurrent;
           Alcotest.test_case "lossy pop caught" `Quick test_lossy_caught;
-          Alcotest.test_case "floor split caught" `Quick test_floor_split_caught;
-          Alcotest.test_case "range-CAS steal-half caught" `Slow test_range_cas_caught;
-          Alcotest.test_case "stale-top steal-half caught" `Slow test_stale_top_caught;
         ] );
     ]

@@ -174,164 +174,6 @@ let test_concurrent_grow () =
   Alcotest.(check int) "no element lost" 0 !missing;
   Alcotest.(check int) "no element duplicated" 0 !dup
 
-(* ---- steal_half ---- *)
-
-let steal_half_list d =
-  let got = ref [] in
-  let k = CL.steal_half d (fun x -> got := x :: !got) in
-  (k, List.rev !got)
-
-(* Exact split arithmetic: a single steal_half on an n-element deque takes
-   ceil(n/2) elements — the oldest, in push order — and the owner's drain
-   gets exactly the newest floor(n/2) back. *)
-let test_steal_half_split () =
-  List.iter
-    (fun n ->
-      let d = CL.create ~capacity:2 () in
-      for i = 1 to n do
-        CL.push_bottom d i
-      done;
-      let expect = (n + 1) / 2 in
-      let k, got = steal_half_list d in
-      Alcotest.(check int) (Printf.sprintf "n=%d batch size" n) expect k;
-      Alcotest.(check (list int))
-        (Printf.sprintf "n=%d oldest first" n)
-        (List.init expect (fun i -> i + 1))
-        got;
-      (* Owner pops newest-first; consing reverses back to push order. *)
-      let rest = ref [] in
-      let rec drain () =
-        match CL.pop_bottom d with
-        | Some x ->
-            rest := x :: !rest;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      Alcotest.(check (list int))
-        (Printf.sprintf "n=%d remainder" n)
-        (List.init (n - expect) (fun i -> expect + 1 + i))
-        !rest)
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 64; 65 ]
-
-(* Steal-half racing the owner's pop for the boundary element: the owner
-   pops right after every push, so the deque is never more than one
-   element deep and every successful steal_half contends with pop_bottom
-   for the same slot.  Exactly one side may win each element. *)
-let test_steal_half_pop_boundary () =
-  let items = 10_000 in
-  let d = CL.create () in
-  let done_pushing = Atomic.make false in
-  let thief () =
-    let mine = ref [] in
-    let rec go misses =
-      if CL.steal_half d (fun x -> mine := x :: !mine) > 0 then go 0
-      else if Atomic.get done_pushing && misses > 200 then ()
-      else begin
-        Domain.cpu_relax ();
-        go (misses + 1)
-      end
-    in
-    go 0;
-    !mine
-  in
-  let t = Domain.spawn thief in
-  let mine = ref [] in
-  for i = 1 to items do
-    CL.push_bottom d i;
-    (match CL.pop_bottom d with Some x -> mine := x :: !mine | None -> ());
-    (* Real sleeps: on a single core the thief only runs when the owner
-       yields the CPU. *)
-    if i mod 50 = 0 then Unix.sleepf 1e-6
-  done;
-  Atomic.set done_pushing true;
-  let rec drain () =
-    match CL.pop_bottom d with
-    | Some x ->
-        mine := x :: !mine;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  let stolen = Domain.join t in
-  let consumed = Array.make (items + 1) 0 in
-  List.iter (fun x -> consumed.(x) <- consumed.(x) + 1) !mine;
-  List.iter (fun x -> consumed.(x) <- consumed.(x) + 1) stolen;
-  let missing = ref 0 and dup = ref 0 in
-  for i = 1 to items do
-    if consumed.(i) = 0 then incr missing;
-    if consumed.(i) > 1 then incr dup
-  done;
-  Alcotest.(check int) "no element lost" 0 !missing;
-  Alcotest.(check int) "no element duplicated" 0 !dup;
-  Alcotest.(check int) "all consumed" items (List.length !mine + List.length stolen)
-
-(* Steal-half racing grow: from the minimum capacity the owner forces many
-   buffer doublings while three thieves batch-steal, so steal_half's
-   buffer re-reads race in-flight grows.  Exactly-once must still hold. *)
-let test_steal_half_concurrent_grow () =
-  let total = 50_000 in
-  let nthieves = 3 in
-  let d = CL.create ~capacity:2 () in
-  let consumed = Array.make (total + 1) 0 in
-  let consumed_mu = Mutex.create () in
-  let record xs =
-    Mutex.lock consumed_mu;
-    List.iter (fun x -> consumed.(x) <- consumed.(x) + 1) xs;
-    Mutex.unlock consumed_mu
-  in
-  let done_pushing = Atomic.make false in
-  let thief () =
-    let mine = ref [] in
-    let rec go misses =
-      if CL.steal_half d (fun x -> mine := x :: !mine) > 0 then go 0
-      else if Atomic.get done_pushing && misses > 100 then ()
-      else begin
-        Domain.cpu_relax ();
-        go (misses + 1)
-      end
-    in
-    go 0;
-    record !mine
-  in
-  let thieves = Array.init nthieves (fun _ -> Domain.spawn thief) in
-  for i = 1 to total do
-    CL.push_bottom d i;
-    if i mod 1000 = 0 then Unix.sleepf 1e-6
-  done;
-  Atomic.set done_pushing true;
-  let mine = ref [] in
-  let rec drain () =
-    match CL.pop_bottom d with
-    | Some x ->
-        mine := x :: !mine;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Array.iter Domain.join thieves;
-  record !mine;
-  let missing = ref 0 and dup = ref 0 in
-  for i = 1 to total do
-    if consumed.(i) = 0 then incr missing;
-    if consumed.(i) > 1 then incr dup
-  done;
-  Alcotest.(check int) "no element lost" 0 !missing;
-  Alcotest.(check int) "no element duplicated" 0 !dup
-
-(* 3-thief steal_half storm via the shared stress harness; the paused
-   owner gives the thieves CPU windows for consecutive batched steals. *)
-let test_steal_half_storm () =
-  let module Stress = Lhws_proptest.Stress in
-  let r =
-    Stress.hammer
-      (module Stress.Chase_lev_deque)
-      ~thieves:3 ~items:30_000 ~pop_every:5 ~owner_pause_every:40 ~steal:`Half ()
-  in
-  if not (Stress.ok r) then
-    Alcotest.failf "steal-half storm flagged: %a" (fun ppf -> Stress.pp_report ppf) r;
-  Alcotest.(check int) "all consumed" r.Stress.pushed (r.Stress.popped + r.Stress.stolen)
-
 let () =
   Alcotest.run "chase_lev"
     [
@@ -342,16 +184,10 @@ let () =
           Alcotest.test_case "empty after mixed" `Quick test_empty_after_mixed;
           Alcotest.test_case "growth" `Quick test_growth;
           Alcotest.test_case "interleaved grow/steal" `Quick test_interleaved_grow_steal;
-          Alcotest.test_case "steal-half split arithmetic" `Quick test_steal_half_split;
         ] );
       ( "concurrent",
         [
           Alcotest.test_case "owner vs thieves" `Slow test_concurrent_owner_thieves;
           Alcotest.test_case "grow under steals" `Slow test_concurrent_grow;
-          Alcotest.test_case "steal-half vs owner pop at boundary" `Slow
-            test_steal_half_pop_boundary;
-          Alcotest.test_case "steal-half under concurrent grow" `Slow
-            test_steal_half_concurrent_grow;
-          Alcotest.test_case "steal-half 3-thief storm" `Slow test_steal_half_storm;
         ] );
     ]

@@ -146,22 +146,42 @@ let test_deque_table_growth () =
   (* Regression for the fixed-size global deque table, which used to die
      with [failwith "deque table overflow"] when allocations outran its
      slots.  Deque ids are never reused (recycling keeps the id), so the
-     table's high-water mark is lifetime fresh allocations; [Spread]
-     resume placement allocates a fresh deque per suspend/resume round
-     (the pinned home deque is abandoned, the continuation re-enters
-     through a new one), which deterministically pushes a 2-slot table
-     through several doublings.  Every suspension must still resume and
-     the grown table must serve normal compute. *)
-  Pool.with_pool ~workers:1 ~resume_placement:Pool.Spread ~initial_deques:2
-    (fun p ->
-      let rounds = 12 in
-      let hits = ref 0 in
-      Pool.run p (fun () ->
-          for _ = 1 to rounds do
-            Pool.sleep p 0.002;
-            incr hits
-          done);
-      Alcotest.(check int) "every round crossed its suspension" rounds !hits;
+     table's high-water mark is lifetime fresh allocations.  On one
+     worker a submitted fiber gets a fresh deque when it is injected
+     while the worker has no active deque — right after a scheduling
+     pass that ran nothing, which is what the poller below waits for
+     ([tasks_run] unchanged between two polls) before submitting the
+     next fiber.  Each fiber then suspends on its own deque and pins it,
+     so with all of them suspended at once no deque can be recycled and
+     a 2-slot table goes through several doublings.  Every suspension
+     must still resume and the grown table must serve normal compute. *)
+  Pool.with_pool ~workers:1 ~initial_deques:2 (fun p ->
+      let fibers = 12 in
+      let gate = Promise.create () and all_done = Promise.create () in
+      let started = ref 0 and suspended = Atomic.make 0 and finished = Atomic.make 0 in
+      let last_run = ref (-1) in
+      let fiber () =
+        Atomic.incr suspended;
+        Pool.await gate;
+        if Atomic.fetch_and_add finished 1 = fibers - 1 then Promise.fulfill all_done (Ok ())
+      in
+      Pool.register_poller p (fun () ->
+          let ran = (Pool.stats p).Pool.tasks_run in
+          let idle_pass = ran = !last_run in
+          last_run := ran;
+          if not idle_pass || Atomic.get suspended < !started then 0
+          else if !started < fibers then begin
+            incr started;
+            Pool.submit p fiber;
+            1
+          end
+          else if not (Promise.is_resolved gate) then begin
+            Promise.fulfill gate (Ok ());
+            1
+          end
+          else 0);
+      Pool.run p (fun () -> Pool.await all_done);
+      Alcotest.(check int) "every fiber crossed its suspension" fibers (Atomic.get finished);
       let st = Pool.stats p in
       Alcotest.(check bool)
         (Printf.sprintf "grew past the initial table (%d allocated)"

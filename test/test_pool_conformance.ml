@@ -98,13 +98,11 @@ module Conformance (Pool : Pool_intf.POOL) = struct
         let a = Pool.stats p in
         let nonneg (s : Scheduler_core.stats) =
           s.tasks_run >= 0 && s.steals >= 0 && s.failed_steals >= 0
-          && s.steals_batched >= 0
           && s.tasks_stolen >= 0 && s.deques_allocated >= 0
           && s.suspensions >= 0 && s.resumes >= 0 && s.max_deques_per_worker >= 0
           && s.io_pending >= 0 && s.io_syscalls >= 0 && s.conns_shed >= 0
           && s.scavenge_steals >= 0 && s.tasks_scavenged >= 0
           && s.tasks_donated >= 0
-          && Array.for_all (fun c -> c >= 0) s.tasks_per_steal_hist
         in
         Alcotest.(check bool) "counters non-negative" true (nonneg a);
         burn_some p;
@@ -113,7 +111,6 @@ module Conformance (Pool : Pool_intf.POOL) = struct
           (b.tasks_run >= a.tasks_run
           && b.steals >= a.steals
           && b.failed_steals >= a.failed_steals
-          && b.steals_batched >= a.steals_batched
           && b.tasks_stolen >= a.tasks_stolen
           && b.deques_allocated >= a.deques_allocated
           && b.suspensions >= a.suspensions && b.resumes >= a.resumes
@@ -125,21 +122,13 @@ module Conformance (Pool : Pool_intf.POOL) = struct
           (* io_pending is a gauge, not a counter: deliberately excluded *)))
 
   let test_steal_stats_consistent () =
-    (* The batched-steal accounting must be internally consistent on every
-       pool, in both steal modes: a batched steal is still one steal, a
-       steal moves at least one task, and the tasks-per-steal histogram is
-       a partition of the successful steals with singletons in bucket 0. *)
+    (* Every pool steals one task at a time, so the tasks moved by
+       stealing are exactly the successful steals. *)
     with_pool ~workers:3 (fun p ->
         burn_some p;
         burn_some p;
         let s = Pool.stats p in
-        Alcotest.(check bool) "batched <= steals" true (s.steals_batched <= s.steals);
-        Alcotest.(check bool) "tasks_stolen >= steals" true (s.tasks_stolen >= s.steals);
-        let hist_sum = Array.fold_left ( + ) 0 s.tasks_per_steal_hist in
-        Alcotest.(check int) "hist partitions steals" s.steals hist_sum;
-        Alcotest.(check int) "bucket 0 = single-task steals"
-          (s.steals - s.steals_batched)
-          s.tasks_per_steal_hist.(0))
+        Alcotest.(check int) "tasks_stolen = steals" s.steals s.tasks_stolen)
 
   let test_submit_pinned () =
     (* [submit] is safe from outside [run] and the thunk is pinned: it
@@ -397,19 +386,15 @@ module Conformance (Pool : Pool_intf.POOL) = struct
 end
 
 module Lhws = Conformance (Pool_intf.Lhws_instance)
-module Lhws_half = Conformance (Pool_intf.Lhws_steal_half_instance)
 module Lhws_aged = Conformance (Pool_intf.Lhws_aged_fifo_instance)
 module Ws = Conformance (Pool_intf.Ws_instance)
-module Ws_half = Conformance (Pool_intf.Ws_steal_half_instance)
 module Threads = Conformance (Pool_intf.Threaded_instance)
 
 let () =
   Alcotest.run "pool_conformance"
     [
       ("lhws", Lhws.suite);
-      ("lhws-steal-half", Lhws_half.suite);
       ("lhws-aged-fifo", Lhws_aged.suite);
       ("ws", Ws.suite);
-      ("ws-steal-half", Ws_half.suite);
       ("threads", Threads.suite);
     ]

@@ -98,22 +98,15 @@ let child_config =
       { Http.default_config.listener with Lhws_net.Listener.backlog = 10000 };
   }
 
-(* argv after "--http-child": ["lhws"; workers] | ["lhws-aged"; workers]
-   | ["threads"; max_threads] | ["topo"].  Serves until stdin closes, then
+(* argv after "--http-child": ["lhws"; workers] | ["threads"; max_threads]
+   | ["topo"].  Serves until stdin closes, then
    drains and exits. *)
 let child_main args =
   ignore (Io.raise_nofile 20000 : int);
   match Array.to_list args with
-  | [ (("lhws" | "lhws-aged") as flavor); workers ] ->
+  | [ "lhws"; workers ] ->
       let workers = int_of_string workers in
-      (* The aged flavor serves with [Aged_fifo] resume fairness: parked
-         connection fibers are resumed oldest-batch-first, the
-         starvation-bounding leg of the fairness comparison. *)
-      let resume_order =
-        if flavor = "lhws-aged" then Lhws_runtime.Scheduler_core.Aged_fifo
-        else Lhws_runtime.Scheduler_core.Newest_first
-      in
-      Lhws_runtime.Lhws_pool.with_pool ~workers ~resume_order (fun p ->
+      Lhws_runtime.Lhws_pool.with_pool ~workers (fun p ->
           let rt =
             Reactor.fibers
               ~register:(fun ~pending ~syscalls poll ->
@@ -288,46 +281,36 @@ let keepalive profile =
         iters;
       let lhws = run_leg [| "lhws"; "2" |] in
       print_leg "lhws" lhws;
-      (* The age-fair server: same pool, resumes serviced oldest-first. *)
-      let aged = run_leg [| "lhws-aged"; "2" |] in
-      print_leg "lhws-aged" aged;
       (* Thread cap: one live thread per connection for the whole leg,
          plus headroom for the per-request handler threads. *)
       let threads = run_leg [| "threads"; string_of_int (conns + 128) |] in
       print_leg "threads" threads;
-      (* Every offered request must come back 200 on all three servers:
-         the blocking baseline is slower, not lossy. *)
+      (* Every offered request must come back 200 on both servers: the
+         blocking baseline is slower, not lossy. *)
       R.expect
         (lhws.Load.errors = 0 && lhws.Load.non_2xx = 0
         && lhws.Load.connect_failures = 0);
-      R.expect
-        (aged.Load.errors = 0 && aged.Load.non_2xx = 0
-        && aged.Load.connect_failures = 0);
       R.expect
         (threads.Load.errors = 0 && threads.Load.non_2xx = 0
         && threads.Load.connect_failures = 0);
       (* The c10k claim: at the largest scale the latency-hiding server
          wins the tail. *)
       if conns = last_conns then R.expect (lhws.Load.p99_us <= threads.Load.p99_us);
-      (* The fairness claim: under [Aged_fifo] no connection starves, so
-         the tail stays a bounded multiple of the mean.  The absolute
-         grace absorbs the connect transient at smoke sizes (hundreds of
-         conns dial one acceptor at t=0, so early requests of
-         late-accepted connections carry admission latency that is not
-         scheduler unfairness); at full c10k scale the mean is large and
-         the 3x ratio does the work. *)
+      (* The starvation pin: resumes re-enter their home deque newest-first,
+         yet no connection may starve, so the tail stays a bounded multiple
+         of the mean.  The absolute grace absorbs the connect transient at
+         smoke sizes (hundreds of conns dial one acceptor at t=0, so early
+         requests of late-accepted connections carry admission latency
+         that is not scheduler unfairness); at full c10k scale the mean is
+         large and the 3x ratio does the work. *)
       if conns = last_conns then
-        R.expect
-          (aged.Load.p99_us <= (3. *. aged.Load.mean_us) +. 30_000.);
+        R.expect (lhws.Load.p99_us <= (3. *. lhws.Load.mean_us) +. 30_000.);
       record ~scenario:(Printf.sprintf "http_plaintext_c%d" conns) ~pool:"lhws" lhws;
-      record ~scenario:(Printf.sprintf "http_plaintext_c%d" conns) ~pool:"lhws-aged"
-        aged;
       record ~scenario:(Printf.sprintf "http_plaintext_c%d" conns) ~pool:"threads"
         threads;
-      Printf.printf "  p99 threads/lhws: %.2fx   p99/mean lhws: %.2fx  aged: %.2fx\n%!"
+      Printf.printf "  p99 threads/lhws: %.2fx   p99/mean lhws: %.2fx\n%!"
         (threads.Load.p99_us /. Float.max 1. lhws.Load.p99_us)
-        (lhws.Load.p99_us /. Float.max 1. lhws.Load.mean_us)
-        (aged.Load.p99_us /. Float.max 1. aged.Load.mean_us))
+        (lhws.Load.p99_us /. Float.max 1. lhws.Load.mean_us))
     legs
 
 (* ---------- HTTP2 | mixed CPU+I/O handlers on a topology ---------- *)

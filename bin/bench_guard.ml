@@ -22,12 +22,12 @@
    - http_* samples carrying a [throughput_rps] counter: fail when the
      current req/s drops below baseline * 0.8 — the serving-layer
      regression pin for the keep-alive and mixed-topology legs;
-   - http_* samples from an age-fair pool (pool name contains "aged")
-     carrying both [p99_us] and [mean_us]: fail when the CURRENT run's
-     p99 exceeds 3x its own mean plus a 30 ms absolute grace — the
-     starvation pin: under Aged_fifo resume fairness the tail must stay
-     a bounded multiple of the mean, regardless of what the baseline
-     recorded.
+   - http_plaintext_* samples from the [lhws] pool carrying both
+     [p99_us] and [mean_us]: fail when the CURRENT run's p99 exceeds 3x
+     its own mean plus a 30 ms absolute grace — the starvation pin: with
+     resumes re-entering their home deque newest-first, no keep-alive
+     connection may starve, so the tail must stay a bounded multiple of
+     the mean, regardless of what the baseline recorded.
 
    Other wall-clock samples are reported but not guarded: at smoke sizes
    they are milliseconds and dominated by machine noise.
@@ -263,16 +263,11 @@ let wall_grace_s = 0.025 (* absolute grace for tiny walls on noisy runners *)
 let p99_threshold = 2.
 let p99_grace_us = 2000. (* loopback p99s are hundreds of us; don't flake *)
 let rps_floor = 0.8 (* http_* req/s must stay within 20% of baseline *)
-let fairness_ratio = 3. (* age-fair legs: p99 must stay <= 3x own mean... *)
+let fairness_ratio = 3. (* lhws keep-alive legs: p99 must stay <= 3x own mean... *)
 let fairness_grace_us = 30_000. (* ...plus the smoke-size connect transient *)
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let contains_sub sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let () =
   let current_path, baseline_path =
@@ -321,12 +316,12 @@ let () =
               end
               else report "ok" b (Printf.sprintf "p99 %.0fus (baseline %.0fus)" cp bp)
           | _ -> ());
-          (* Starvation pin: an age-fair leg's tail is judged against its
-             own mean in the CURRENT run — the baseline only tells us the
-             sample is expected to exist. *)
+          (* Starvation pin: an lhws keep-alive leg's tail is judged
+             against its own mean in the CURRENT run — the baseline only
+             tells us the sample is expected to exist. *)
           (match (c.p99_us, c.mean_us) with
           | Some cp, Some cm
-            when has_prefix "http_" b.scenario && contains_sub "aged" b.pool ->
+            when has_prefix "http_plaintext_" b.scenario && b.pool = "lhws" ->
               incr checked;
               let limit = (cm *. fairness_ratio) +. fairness_grace_us in
               if cp > limit then begin

@@ -73,7 +73,7 @@ type class_state = {
      generator task finishes its share.  A scheduler that always favours
      the freshest work lets some connections race ahead while others
      crawl — the spread at first-finish, in units of full pipeline
-     rounds, is exactly the starvation the Aged_fifo knob bounds. *)
+     rounds, measures that starvation. *)
   rounds : int Atomic.t array;
   behind : int Atomic.t;
   snapped : bool Atomic.t;

@@ -36,9 +36,7 @@ type report = {
       (** fairness tally: when the first generator task finished its
           share, how many full pipeline rounds ([inflight] calls) the
           most-starved connection lagged behind the farthest-ahead one.
-          Near 0 under an age-fair scheduler; grows with [conns] when
-          the freshest work always wins ([Newest_first] under
-          saturation). *)
+          Grows with [conns] when the freshest work always wins. *)
   slowest_conn_mean_us : float;
       (** the worst single connection's mean latency — a starved
           connection surfaces here long before it moves the pooled

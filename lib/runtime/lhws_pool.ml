@@ -44,10 +44,6 @@ type wrec = {
   ctx : Core.ctx;
   mutable active : deque option;
   mutable ready : deque list;
-  resume_fifo : task Queue.t;
-      (* the [Aged_fifo] lane: resumed continuations in arrival order,
-         oldest first.  Owner-only (fed and drained by this worker's own
-         drain/next steps); permanently empty under [Newest_first] *)
   notified : deque list Atomic.t;  (* MPSC: deques with fresh resumes *)
   mutable empty : deque list;  (* freed deques for reuse; owner only *)
   mutable owned_live : int;
@@ -76,7 +72,6 @@ type pstate = {
   grow_lock : Mutex.t;
   gtotal : int Atomic.t;
   steal_policy : steal_policy;
-  resume_order : Core.resume_order;
   self_wid : unit -> int;
 }
 
@@ -181,8 +176,7 @@ let requeue_home p d task =
    with, on that deque's owner — the locality-preserving placement
    ("Analysis of Work-Stealing and Parallel Cache Complexity", arXiv
    2111.04994: steals dominate cache cost, so resumes should not
-   migrate).  The owner's [drain_resumed] then re-injects it per the
-   resume order. *)
+   migrate).  The owner's [drain_resumed] then re-injects it. *)
 let on_resume p d task =
   let was_empty = mpsc_push d.resumed task in
   Atomic.decr d.suspend_ctr;
@@ -240,17 +234,10 @@ let rec pfor_exec p batch lo hi =
    first keeps the idle fast path to one atomic load (no exchange, which
    is a store even when the channel is empty).
 
-   Resume-order policy decides where the batch lands.  [Newest_first]
-   (the historical discipline): the batch re-enters its home deque as
-   one task — a pfor tree when there are several, so it unfolds in
-   parallel and is stealable — and the deque joins the owner's ready
-   {e stack}; LIFO at both levels, maximal locality, but under a
-   saturating closed loop the newest arrivals monopolize the worker.
-   [Aged_fifo]: each continuation is appended individually, in arrival
-   order, to the worker's FIFO resume lane — oldest batch first, no
-   batch-unfolding parallelism, lane tasks not stealable — trading peak
-   locality for a bounded-staleness guarantee (c10k p99 within a small
-   factor of the mean instead of the wall clock). *)
+   The batch re-enters its home deque as one task — a pfor tree when
+   there are several, so it unfolds in parallel and stays stealable — and
+   the deque joins the owner's ready {e stack}: LIFO at both levels, for
+   locality. *)
 let drain_resumed p w =
   if Atomic.get w.notified != [] then begin
     let notified = mpsc_drain w.notified in
@@ -259,32 +246,23 @@ let drain_resumed p w =
         let batch = mpsc_drain d.resumed in
         match batch with
         | [] -> ()
-        | _ -> (
+        | _ ->
             Core.mark w.ctx Tracing.Resume_batch;
             w.ctx.counters.resumes <- w.ctx.counters.resumes + List.length batch;
-            match p.resume_order with
-            | Core.Aged_fifo ->
-                (* The continuations bypass the deque entirely, so its
-                   revival bookkeeping is not needed: a freed deque with
-                   no suspensions left simply stays recycled. *)
-                List.iter (fun task -> Queue.add task w.resume_fifo) (List.rev batch)
-            | Core.Newest_first ->
-                if Atomic.get d.freed then unfree w d;
-                let task =
-                  match batch with
-                  | [ single ] -> single
-                  | _ ->
-                      let arr = Array.of_list (List.rev batch) in
-                      Pinned (fun () -> pfor_exec p arr 0 (Array.length arr))
-                in
-                Chase_lev.push_bottom d.q task;
-                let is_active =
-                  match w.active with Some a -> a == d | None -> false
-                in
-                if (not is_active) && not d.in_ready then begin
-                  d.in_ready <- true;
-                  w.ready <- d :: w.ready
-                end))
+            if Atomic.get d.freed then unfree w d;
+            let task =
+              match batch with
+              | [ single ] -> single
+              | _ ->
+                  let arr = Array.of_list (List.rev batch) in
+                  Pinned (fun () -> pfor_exec p arr 0 (Array.length arr))
+            in
+            Chase_lev.push_bottom d.q task;
+            let is_active = match w.active with Some a -> a == d | None -> false in
+            if (not is_active) && not d.in_ready then begin
+              d.in_ready <- true;
+              w.ready <- d :: w.ready
+            end)
       (List.rev notified)
   end
 
@@ -416,57 +394,36 @@ let export_steal p ~rng ~tracker ~sink =
       false
 
 (* One scheduling decision: the next task to run, switching or stealing as
-   needed.  Mirrors lines 40-56 of Figure 3, with one insertion: under
-   [Aged_fifo] the worker's FIFO resume lane is serviced once the active
-   deque is exhausted — before ready-deque switches and steals, so the
-   oldest resumed continuation in the lane strictly precedes newer work.
-   A lane task needs an active deque to land its spawns and suspensions
-   in (the [Suspend] handler requires one), so the current deque is kept
-   active — or one is allocated — before the task is returned. *)
+   needed.  Mirrors lines 40-56 of Figure 3. *)
 let next_task p w =
-  let take_lane () =
-    if Queue.is_empty w.resume_fifo then None
-    else begin
-      (match w.active with
-      | Some _ -> ()
-      | None -> w.active <- Some (alloc_deque p w));
-      Some (Queue.pop w.resume_fifo)
-    end
-  in
   let from_active () =
     match w.active with
     | Some d -> (
         match Chase_lev.pop_bottom d.q with
         | Some task -> Some task
-        | None -> (
-            match take_lane () with
-            | Some _ as got -> got  (* keep [d] active as the landing pad *)
-            | None ->
-                retire_active w;
-                None))
+        | None ->
+            retire_active w;
+            None)
     | None -> None
   in
   match from_active () with
   | Some task -> Some task
   | None -> (
-      match take_lane () with
-      | Some _ as got -> got
-      | None -> (
-          match w.ready with
-          | d :: rest -> (
-              w.ready <- rest;
-              d.in_ready <- false;
-              w.active <- Some d;
-              match Chase_lev.pop_bottom d.q with
-              | Some task -> Some task
-              | None ->
-                  (* emptied by thieves since it was enqueued *)
-                  retire_active w;
-                  None)
-          | [] ->
-              (* On success [steal_from] has already allocated the thief's
-                 new deque, made it active and counted the steal. *)
-              try_steal p w))
+      match w.ready with
+      | d :: rest -> (
+          w.ready <- rest;
+          d.in_ready <- false;
+          w.active <- Some d;
+          match Chase_lev.pop_bottom d.q with
+          | Some task -> Some task
+          | None ->
+              (* emptied by thieves since it was enqueued *)
+              retire_active w;
+              None)
+      | [] ->
+          (* On success [steal_from] has already allocated the thief's
+             new deque, made it active and counted the steal. *)
+          try_steal p w)
 
 (* --- the policy: multi-deque suspend/resume over the shared engine --- *)
 
@@ -474,24 +431,15 @@ module Policy = struct
   let label = "Lhws_pool"
   let rng_salt = 0xACE5
 
-  type config = {
-    steal_policy : steal_policy;
-    resume_order : Core.resume_order;
-    initial_deques : int;
-  }
+  type config = { steal_policy : steal_policy; initial_deques : int }
 
-  let default_config =
-    {
-      steal_policy = Global_deque;
-      resume_order = Core.Newest_first;
-      initial_deques = default_initial_deques;
-    }
+  let default_config = { steal_policy = Global_deque; initial_deques = default_initial_deques }
 
   type nonrec task = task
   type pool = pstate
   type wstate = wrec
 
-  let make_pool { steal_policy; resume_order; initial_deques } ~ctxs ~self_wid =
+  let make_pool { steal_policy; initial_deques } ~ctxs ~self_wid =
     let victims = Array.length ctxs in
     {
       slots =
@@ -501,7 +449,6 @@ module Policy = struct
               ctx;
               active = None;
               ready = [];
-              resume_fifo = Queue.create ();
               notified = Padding.make_atomic [];
               empty = [];
               owned_live = 0;
@@ -513,7 +460,6 @@ module Policy = struct
       grow_lock = Mutex.create ();
       gtotal = Atomic.make 0;
       steal_policy;
-      resume_order;
       self_wid;
     }
 
@@ -550,18 +496,17 @@ module C = Core.Make (Policy)
 
 type t = C.t
 
-let config ?(steal_policy = Global_deque) ?(resume_order = Core.Newest_first)
-    ?(initial_deques = default_initial_deques) () =
-  { Policy.steal_policy; resume_order; initial_deques }
+let config ?(steal_policy = Global_deque) ?(initial_deques = default_initial_deques) () =
+  { Policy.steal_policy; initial_deques }
 
-let create ?name ?workers ?steal_policy ?resume_order ?initial_deques () =
-  C.create ?name ?workers ~config:(config ?steal_policy ?resume_order ?initial_deques ()) ()
+let create ?name ?workers ?steal_policy ?initial_deques () =
+  C.create ?name ?workers ~config:(config ?steal_policy ?initial_deques ()) ()
 
 let run = C.run
 let shutdown = C.shutdown
 
-let with_pool ?name ?workers ?steal_policy ?resume_order ?initial_deques f =
-  C.with_pool ?name ?workers ~config:(config ?steal_policy ?resume_order ?initial_deques ()) f
+let with_pool ?name ?workers ?steal_policy ?initial_deques f =
+  C.with_pool ?name ?workers ~config:(config ?steal_policy ?initial_deques ()) f
 
 let register_poller = C.register_poller
 let register_shed_counter = C.register_shed_counter
@@ -635,23 +580,6 @@ let rec parallel_map_reduce t ~lo ~hi ~map ~combine ~id =
 
 (* --- stats --- *)
 
-type stats = Scheduler_core.stats = {
-  tasks_run : int;
-  steals : int;
-  failed_steals : int;
-  tasks_stolen : int;
-  deques_allocated : int;
-  suspensions : int;
-  resumes : int;
-  max_deques_per_worker : int;
-  io_pending : int;
-  io_syscalls : int;
-  conns_shed : int;
-  scavenge_steals : int;
-  tasks_scavenged : int;
-  tasks_donated : int;
-  stalls_detected : int;
-  oldest_parked_ms : float;
-}
+type stats = Scheduler_core.stats
 
 let stats = C.stats

@@ -32,26 +32,17 @@ val create :
   ?name:string ->
   ?workers:int ->
   ?steal_policy:steal_policy ->
-  ?resume_order:Scheduler_core.resume_order ->
   ?initial_deques:int ->
   unit ->
   t
 (** Spawns [workers - 1] extra domains (default: 2 workers,
-    [Global_deque], {!Scheduler_core.Newest_first}).  The
-    calling domain becomes worker 0 while inside {!run}.  The instance
-    registers in {!Scheduler_core.Registry} under [name] until
-    {!shutdown}.
+    [Global_deque]).  The calling domain becomes worker 0 while inside
+    {!run}.  The instance registers in {!Scheduler_core.Registry} under
+    [name] until {!shutdown}.
 
-    [resume_order] is the fairness knob: [Newest_first] keeps the
-    historical LIFO discipline (resume batches re-enter their home
-    deque as a stealable pfor tree, notified deques stack up
-    newest-first — best locality, but a saturating closed loop starves
-    its oldest connections); [Aged_fifo] routes every resumed
-    continuation through a per-worker FIFO lane in arrival order,
-    serviced after the active deque and before switches or steals,
-    bounding staleness (c10k p99 within a small factor of the mean) at
-    the cost of batch-unfolding parallelism — lane tasks are not
-    stealable.
+    Resumed continuations re-enter their home deque as one stealable
+    pfor tree per batch (Figure 3's addResumedVertices), and the deque
+    joins its owner's ready stack newest-first.
 
     A successful steal takes the victim deque's oldest task, and the
     thief runs it in a fresh deque of its own.  Under
@@ -81,7 +72,6 @@ val with_pool :
   ?name:string ->
   ?workers:int ->
   ?steal_policy:steal_policy ->
-  ?resume_order:Scheduler_core.resume_order ->
   ?initial_deques:int ->
   (t -> 'a) ->
   'a
@@ -177,23 +167,6 @@ val parallel_map_reduce :
 
     The unified stats record shared by every pool. *)
 
-type stats = Scheduler_core.stats = {
-  tasks_run : int;
-  steals : int;
-  failed_steals : int;
-  tasks_stolen : int;
-  deques_allocated : int;
-  suspensions : int;
-  resumes : int;
-  max_deques_per_worker : int;
-  io_pending : int;
-  io_syscalls : int;
-  conns_shed : int;
-  scavenge_steals : int;
-  tasks_scavenged : int;
-  tasks_donated : int;
-  stalls_detected : int;
-  oldest_parked_ms : float;
-}
+type stats = Scheduler_core.stats
 
 val stats : t -> stats

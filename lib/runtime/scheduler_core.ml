@@ -1,14 +1,3 @@
-(* Where resumed continuations re-enter the scheduling order.
-   [Newest_first] is the historical behaviour: resume batches are pushed
-   onto their home deque (popped LIFO) and freshly notified deques are
-   pushed onto the owner's ready stack — great locality, but under
-   saturation the newest connections monopolize the workers and the
-   oldest starve (ROADMAP item 2: c10k p99 ~ wall clock).  [Aged_fifo]
-   routes resumed continuations through a per-worker FIFO lane in
-   arrival order — oldest batch first — bounding staleness at the cost
-   of the batch-unfolding parallelism. *)
-type resume_order = Newest_first | Aged_fifo
-
 type counters = {
   mutable tasks_run : int;
   mutable steals : int;

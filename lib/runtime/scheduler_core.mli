@@ -23,23 +23,6 @@
     {!stats}.  Counters that a policy has no use for stay at their
     degenerate values, so every pool reports the same record. *)
 
-(** Where resumed continuations re-enter the scheduling order — the
-    fairness knob for interacting computations under saturation. *)
-type resume_order =
-  | Newest_first
-      (** the historical (and locality-best) discipline: resume batches
-          are pushed onto their home deque and popped LIFO, freshly
-          notified deques onto the owner's ready stack — under
-          saturation the newest connections monopolize the workers and
-          the oldest starve *)
-  | Aged_fifo
-      (** resumed continuations flow through a per-worker FIFO lane in
-          arrival order (oldest batch first), bounding staleness: with a
-          closed-loop saturating load, round-time p99 stays within a
-          small factor of the mean instead of approaching the wall
-          clock.  Lane tasks are serviced after the active deque and
-          before ready-deque switches or steals, and are not stealable *)
-
 type counters = {
   mutable tasks_run : int;  (** tasks executed by this worker's loop *)
   mutable steals : int;

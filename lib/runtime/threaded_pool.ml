@@ -11,31 +11,14 @@ type t = {
   mutable entry : Scheduler_core.registry_entry option;
 }
 
-type stats = Scheduler_core.stats = {
-  tasks_run : int;
-  steals : int;
-  failed_steals : int;
-  tasks_stolen : int;
-  deques_allocated : int;
-  suspensions : int;
-  resumes : int;
-  max_deques_per_worker : int;
-  io_pending : int;
-  io_syscalls : int;
-  conns_shed : int;
-  scavenge_steals : int;
-  tasks_scavenged : int;
-  tasks_donated : int;
-  stalls_detected : int;
-  oldest_parked_ms : float;
-}
+type stats = Scheduler_core.stats
 
 (* No deques, no steals, no suspensions: every scheduler counter is
    degenerate; [tasks_run] is the threads spawned and the serving-layer
    shed counter is real. *)
-let stats t =
+let stats t : stats =
   {
-    tasks_run =
+    Scheduler_core.tasks_run =
       (Mutex.lock t.mu;
        let n = t.spawned in
        Mutex.unlock t.mu;

@@ -190,23 +190,6 @@ let rec parallel_map_reduce t ~lo ~hi ~map ~combine ~id =
     in
     combine a b
 
-type stats = Scheduler_core.stats = {
-  tasks_run : int;
-  steals : int;
-  failed_steals : int;
-  tasks_stolen : int;
-  deques_allocated : int;
-  suspensions : int;
-  resumes : int;
-  max_deques_per_worker : int;
-  io_pending : int;
-  io_syscalls : int;
-  conns_shed : int;
-  scavenge_steals : int;
-  tasks_scavenged : int;
-  tasks_donated : int;
-  stalls_detected : int;
-  oldest_parked_ms : float;
-}
+type stats = Scheduler_core.stats
 
 let stats = C.stats

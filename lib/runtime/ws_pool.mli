@@ -81,23 +81,6 @@ val parallel_map_reduce :
     ([deques_allocated] = worker count, [max_deques_per_worker] = 1,
     [suspensions] = [resumes] = 0). *)
 
-type stats = Scheduler_core.stats = {
-  tasks_run : int;
-  steals : int;
-  failed_steals : int;
-  tasks_stolen : int;
-  deques_allocated : int;
-  suspensions : int;
-  resumes : int;
-  max_deques_per_worker : int;
-  io_pending : int;
-  io_syscalls : int;
-  conns_shed : int;
-  scavenge_steals : int;
-  tasks_scavenged : int;
-  tasks_donated : int;
-  stalls_detected : int;
-  oldest_parked_ms : float;
-}
+type stats = Scheduler_core.stats
 
 val stats : t -> stats

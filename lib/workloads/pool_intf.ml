@@ -56,19 +56,6 @@ module Ws_instance = struct
     true
 end
 
-(* Age-fair resume variant of the lhws pool: resumed continuations are
-   serviced oldest-batch-first through per-worker FIFO lanes instead of
-   newest-first — the starvation-bounding leg of the fairness study. *)
-module Lhws_aged_fifo_instance = struct
-  include Lhws_instance
-
-  let create ?name ?workers () =
-    Lhws_runtime.Lhws_pool.create ?name ?workers
-      ~resume_order:Lhws_runtime.Scheduler_core.Aged_fifo ()
-
-  let name = "lhws-aged-fifo"
-end
-
 module Threaded_instance = struct
   include Lhws_runtime.Threaded_pool
 
@@ -95,14 +82,10 @@ end
 let lhws : pool = (module Lhws_instance)
 let ws : pool = (module Ws_instance)
 let threads : pool = (module Threaded_instance)
-let lhws_aged_fifo : pool = (module Lhws_aged_fifo_instance)
 
 let by_name = function
   | "lhws" -> lhws
   | "ws" -> ws
   | "threads" -> threads
-  | "lhws-aged-fifo" -> lhws_aged_fifo
   | s ->
-      invalid_arg
-        (Printf.sprintf
-           "Pool_intf.by_name: unknown pool %S (want lhws|ws|threads|lhws-aged-fifo)" s)
+      invalid_arg (Printf.sprintf "Pool_intf.by_name: unknown pool %S (want lhws|ws|threads)" s)

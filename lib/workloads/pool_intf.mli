@@ -71,12 +71,6 @@ module Lhws_instance : POOL with type t = Lhws_runtime.Lhws_pool.t
 module Ws_instance : POOL with type t = Lhws_runtime.Ws_pool.t
 module Threaded_instance : POOL with type t = Lhws_runtime.Threaded_pool.t
 
-module Lhws_aged_fifo_instance : POOL with type t = Lhws_runtime.Lhws_pool.t
-(** {!Lhws_instance} with [Aged_fifo] resume fairness: resumed
-    continuations are serviced oldest-batch-first through per-worker
-    FIFO lanes, bounding how stale any suspended request can get under
-    saturation. *)
-
 val lhws : pool
 (** {!Lhws_runtime.Lhws_pool}: suspending fibers, latency hidden. *)
 
@@ -87,8 +81,6 @@ val threads : pool
 (** {!Lhws_runtime.Threaded_pool}: a thread per task, latency hidden by
     oversubscription. *)
 
-val lhws_aged_fifo : pool
-
 val by_name : string -> pool
-(** ["lhws"], ["ws"], ["threads"] or ["lhws-aged-fifo"].
+(** ["lhws"], ["ws"] or ["threads"].
     @raise Invalid_argument otherwise. *)

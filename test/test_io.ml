@@ -208,10 +208,12 @@ let test_io_pending_stat () =
                     ignore (Io.read io r buf 0 1))
               in
               Pool.sleep p 0.01;
-              Alcotest.(check int) "gauge counts parked fiber" 1 (Pool.stats p).Pool.io_pending;
+              Alcotest.(check int) "gauge counts parked fiber" 1
+                (Pool.stats p).Scheduler_core.io_pending;
               Io.write_all io w (Bytes.of_string "x");
               Pool.await reader;
-              Alcotest.(check int) "gauge drains" 0 (Pool.stats p).Pool.io_pending)))
+              Alcotest.(check int) "gauge drains" 0
+                (Pool.stats p).Scheduler_core.io_pending)))
 
 (* --- the blocking idle pass ---
 

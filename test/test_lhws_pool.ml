@@ -36,9 +36,9 @@ let test_suspension_stats () =
   Pool.with_pool ~workers:1 (fun p ->
       Pool.run p (fun () -> Pool.parallel_for p ~lo:0 ~hi:8 (fun _ -> Pool.sleep p 0.01));
       let st = Pool.stats p in
-      Alcotest.(check bool) "some suspensions" true (st.Pool.suspensions >= 8);
-      Alcotest.(check bool) "resumed as many" true (st.Pool.resumes >= 8);
-      Alcotest.(check bool) "allocated deques" true (st.Pool.deques_allocated >= 1))
+      Alcotest.(check bool) "some suspensions" true (st.Scheduler_core.suspensions >= 8);
+      Alcotest.(check bool) "resumed as many" true (st.Scheduler_core.resumes >= 8);
+      Alcotest.(check bool) "allocated deques" true (st.Scheduler_core.deques_allocated >= 1))
 
 let test_many_fibers () =
   Pool.with_pool ~workers:2 (fun p ->
@@ -112,7 +112,7 @@ let test_many_runs_with_suspension () =
         Alcotest.(check int) (Printf.sprintf "round %d" round) 28 v
       done;
       let st = Pool.stats p in
-      Alcotest.(check bool) "suspensions accumulated" true (st.Pool.suspensions >= 5 * 8))
+      Alcotest.(check bool) "suspensions accumulated" true (st.Scheduler_core.suspensions >= 5 * 8))
 
 let test_timer_and_io_pollers_coexist () =
   Pool.with_pool ~workers:1 (fun p ->
@@ -166,7 +166,7 @@ let test_deque_table_growth () =
         if Atomic.fetch_and_add finished 1 = fibers - 1 then Promise.fulfill all_done (Ok ())
       in
       Pool.register_poller p (fun () ->
-          let ran = (Pool.stats p).Pool.tasks_run in
+          let ran = (Pool.stats p).Scheduler_core.tasks_run in
           let idle_pass = ran = !last_run in
           last_run := ran;
           if not idle_pass || Atomic.get suspended < !started then 0
@@ -185,14 +185,62 @@ let test_deque_table_growth () =
       let st = Pool.stats p in
       Alcotest.(check bool)
         (Printf.sprintf "grew past the initial table (%d allocated)"
-           st.Pool.deques_allocated)
+           st.Scheduler_core.deques_allocated)
         true
-        (st.Pool.deques_allocated > 2);
+        (st.Scheduler_core.deques_allocated > 2);
       (* The grown table serves normal compute untouched. *)
       Alcotest.(check int) "map_reduce after growth" 5050
         (Pool.run p (fun () ->
              Pool.parallel_map_reduce p ~lo:1 ~hi:101 ~map:Fun.id ~combine:( + )
                ~id:0)))
+
+(* Lemma 7 on the real pool: a worker owns at most U + 1 deques, where U
+   is the suspension width.  N fibers each alternate a short compute with
+   a sleep; the sleeps are the only latency edges (the root's await is a
+   join), so U = N.  The bound must hold on one and on two workers.  On
+   one worker there are no steals, so every deque a resume revives is
+   recycled, and the lifetime allocation count must not grow with the
+   number of suspend/resume rounds: a run of 10 rounds and 90 more on the
+   same pool end with the same [deques_allocated]. *)
+let lemma7_fibers = 8
+
+let lemma7_rounds p ~rounds =
+  Pool.run p (fun () ->
+      let fiber i =
+        Pool.async p (fun () ->
+            let acc = ref i in
+            for _ = 1 to rounds do
+              for k = 1 to 2_000 do
+                acc := (!acc * 31) + k
+              done;
+              Pool.sleep p 0.0005
+            done;
+            !acc)
+      in
+      List.init lemma7_fibers fiber |> List.iter (fun f -> ignore (Pool.await f : int)))
+
+let check_lemma7 label (st : Pool.stats) =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: max_deques_per_worker %d <= N + 1" label
+       st.Scheduler_core.max_deques_per_worker)
+    true
+    (st.Scheduler_core.max_deques_per_worker <= lemma7_fibers + 1)
+
+let test_lemma7_one_worker () =
+  Pool.with_pool ~workers:1 (fun p ->
+      lemma7_rounds p ~rounds:10;
+      let after10 = Pool.stats p in
+      lemma7_rounds p ~rounds:90;
+      let after100 = Pool.stats p in
+      check_lemma7 "10 rounds" after10;
+      check_lemma7 "100 rounds" after100;
+      Alcotest.(check int) "deques_allocated flat from 10 to 100 rounds"
+        after10.Scheduler_core.deques_allocated after100.Scheduler_core.deques_allocated)
+
+let test_lemma7_two_workers () =
+  Pool.with_pool ~workers:2 (fun p ->
+      lemma7_rounds p ~rounds:100;
+      check_lemma7 "2 workers" (Pool.stats p))
 
 let test_victim_stats_growth () =
   let module VS = Scheduler_core.Victim_stats in
@@ -407,6 +455,8 @@ let () =
         [
           Alcotest.test_case "table growth under suspension" `Quick
             test_deque_table_growth;
+          Alcotest.test_case "lemma 7 bound, one worker" `Quick test_lemma7_one_worker;
+          Alcotest.test_case "lemma 7 bound, two workers" `Quick test_lemma7_two_workers;
           Alcotest.test_case "victim stats growth" `Quick test_victim_stats_growth;
           Alcotest.test_case "victim stats pick_foreign" `Quick
             test_victim_stats_pick_foreign;

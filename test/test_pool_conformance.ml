@@ -386,7 +386,6 @@ module Conformance (Pool : Pool_intf.POOL) = struct
 end
 
 module Lhws = Conformance (Pool_intf.Lhws_instance)
-module Lhws_aged = Conformance (Pool_intf.Lhws_aged_fifo_instance)
 module Ws = Conformance (Pool_intf.Ws_instance)
 module Threads = Conformance (Pool_intf.Threaded_instance)
 
@@ -394,7 +393,6 @@ let () =
   Alcotest.run "pool_conformance"
     [
       ("lhws", Lhws.suite);
-      ("lhws-aged-fifo", Lhws_aged.suite);
       ("ws", Ws.suite);
       ("threads", Threads.suite);
     ]

@@ -18,9 +18,7 @@
      [Stalled] tracing events;
    - a descriptor closed behind the reactor's back fails the parked
      fiber loudly (poll's POLLNVAL path, backstopped by the watchdog's
-     probe);
-   - Aged_fifo: resumed continuations are serviced in arrival order
-     through the per-worker FIFO lane. *)
+     probe). *)
 
 open Lhws_runtime
 module P = Lhws_workloads.Pool_intf
@@ -213,45 +211,6 @@ let test_stale_fd_poll () =
       Alcotest.(check bool) "failed promptly" true
         (Unix.gettimeofday () -. t0 < 5.))
 
-(* --- Aged_fifo: resumes are serviced in arrival order --- *)
-
-let test_aged_fifo_resume_order () =
-  Lhws_pool.with_pool ~workers:1
-    ~resume_order:Scheduler_core.Aged_fifo (fun p ->
-      Lhws_pool.run p (fun () ->
-          let n = 8 in
-          let gates = Array.init n (fun _ -> Promise.create ()) in
-          let order = ref [] in
-          let fibers =
-            Array.init n (fun i ->
-                Lhws_pool.async p (fun () ->
-                    Lhws_pool.await gates.(i);
-                    order := i :: !order))
-          in
-          (* Let every fiber park on its gate. *)
-          Lhws_pool.sleep p 0.02;
-          (* Release them oldest-first; under Aged_fifo the FIFO lane
-             must preserve exactly this arrival order. *)
-          Array.iter (fun g -> Promise.fulfill g (Ok ())) gates;
-          Array.iter (fun f -> Lhws_pool.await f) fibers;
-          Alcotest.(check (list int))
-            "resumed continuations ran oldest-first"
-            (List.init n Fun.id) (List.rev !order)))
-
-let test_aged_fifo_work_completes () =
-  (* Same fork/join workload on both orders: fairness must not change
-     results, only scheduling order. *)
-  List.iter
-    (fun ro ->
-      Lhws_pool.with_pool ~workers:3 ~resume_order:ro (fun p ->
-          let v =
-            Lhws_pool.run p (fun () ->
-                Lhws_pool.parallel_map_reduce p ~lo:1 ~hi:101 ~map:Fun.id
-                  ~combine:( + ) ~id:0)
-          in
-          Alcotest.(check int) "gauss" 5050 v))
-    [ Scheduler_core.Newest_first; Scheduler_core.Aged_fifo ]
-
 let () =
   Alcotest.run "watchdog"
     [
@@ -278,12 +237,5 @@ let () =
       ( "stale-fd",
         [
           Alcotest.test_case "poll backend fails loudly" `Quick test_stale_fd_poll;
-        ] );
-      ( "aged-fifo",
-        [
-          Alcotest.test_case "resume order is arrival order" `Quick
-            test_aged_fifo_resume_order;
-          Alcotest.test_case "results identical across orders" `Quick
-            test_aged_fifo_work_completes;
         ] );
     ]

@@ -30,7 +30,7 @@ let test_steals_counted () =
       in
       Alcotest.(check int) "stolen task ran" 42 v;
       let st = Pool.stats p in
-      Alcotest.(check bool) "at least one steal" true (st.Pool.steals >= 1))
+      Alcotest.(check bool) "at least one steal" true (st.Scheduler_core.steals >= 1))
 
 let test_degenerate_stats () =
   (* The unified stats record: the single-deque baseline pins the
@@ -38,10 +38,10 @@ let test_degenerate_stats () =
   Pool.with_pool ~workers:3 (fun p ->
       ignore (Pool.run p (fun () -> Pool.parallel_for p ~lo:0 ~hi:50 ignore));
       let st = Pool.stats p in
-      Alcotest.(check int) "deques = workers" 3 st.Pool.deques_allocated;
-      Alcotest.(check int) "one deque per worker" 1 st.Pool.max_deques_per_worker;
-      Alcotest.(check int) "no suspensions" 0 st.Pool.suspensions;
-      Alcotest.(check int) "no resumes" 0 st.Pool.resumes)
+      Alcotest.(check int) "deques = workers" 3 st.Scheduler_core.deques_allocated;
+      Alcotest.(check int) "one deque per worker" 1 st.Scheduler_core.max_deques_per_worker;
+      Alcotest.(check int) "no suspensions" 0 st.Scheduler_core.suspensions;
+      Alcotest.(check int) "no resumes" 0 st.Scheduler_core.resumes)
 
 let test_blocked_event_traced () =
   Pool.with_pool ~workers:1 (fun p ->

@@ -5,7 +5,8 @@
    (eager completion) and otherwise submitted as an intent the pump
    executes on readiness; in blocking mode the deadline becomes the
    poll timeout — either way a dead peer costs Net.Timeout, never a
-   worker parked forever. *)
+   worker parked forever.  The one exception is the pump-side reader
+   ([start_reader]), which keeps a persistent intent of its own. *)
 
 module Iov = Lhws_runtime.Io.Iov
 
@@ -192,6 +193,169 @@ let read_exactly t buf len =
     end
   in
   go 0
+
+(* --- the pump-side reader (fiber mode) ---
+
+   One persistent read intent per connection.  Its [run] executes in
+   the reactor pump whenever the descriptor turns readable: one kernel
+   read into [rbuf], the bytes handed to [on_data] right there, and
+   [`Again], so {!Io} re-arms the intent without waking anything.  A
+   reply therefore completes where the readiness is observed, not in a
+   fiber that first has to be scheduled.
+
+   It keeps every contract of {!read}:
+   - the fd is pinned ([enter]) for the whole registration and released
+     when the reader ends, so [Unix.close] waits for it;
+   - each kernel read draws one fault verdict.  [Short] clamps the read,
+     an injected error is raised as the genuine [Unix_error], and a
+     [Delay] ends the current intent and re-submits a fresh one from the
+     reactor's timer, with the owed verdict replayed;
+   - [read_timeout] is a cancellable timer that races the intent.  It is
+     re-armed lazily: when it fires before [read_timeout] has passed
+     since the last chunk, it re-adds itself for the new deadline, which
+     costs one heap operation per timeout period instead of one per
+     chunk;
+   - EOF, a reset peer and a closed handle end the reader like [read]'s
+     0 and [Net.Closed].
+
+   [r_mu] serializes only the rare transitions (delay re-submission,
+   deadline, end) between the pump and timer callbacks, which may run on
+   different workers; the per-chunk path takes no lock.  Lock order is
+   [r_mu] before the reactor's own mutex (through {!Io.cancel}); {!Io}
+   calls [run] and completion callbacks without holding it. *)
+
+type reader = {
+  conn : t;
+  io : Lhws_runtime.Io.t;
+  timer : Lhws_runtime.Timer.t;
+  on_data : Bytes.t -> int -> int -> unit;
+  on_end : exn option -> unit;
+  r_owed : Fault.verdict option ref;
+  r_mu : Mutex.t;
+  mutable current : Lhws_runtime.Io.intent option;  (* [None] while a delay holds it *)
+  mutable deadline_passed : bool;
+  mutable ended : bool;
+  mutable th : Lhws_runtime.Timer.handle option;  (* the read_timeout watch *)
+  mutable last_chunk : float;
+}
+
+let reader_end r e =
+  Mutex.lock r.r_mu;
+  let first = not r.ended in
+  r.ended <- true;
+  let th = r.th in
+  r.th <- None;
+  Mutex.unlock r.r_mu;
+  if first then begin
+    Option.iter (Lhws_runtime.Timer.cancel r.timer) th;
+    release r.conn;
+    r.on_end e
+  end
+
+let reader_run r () =
+  let t = r.conn in
+  Lhws_runtime.Io.count_syscall r.io;
+  let v = draw_or_owed r.r_owed (fun () -> Fault.on_read (Reactor.fault t.rt) t.fd) in
+  match
+    apply_verdict r.r_owed "read" v (fun v -> Unix.read t.fd t.rbuf 0 (clamp buf_capacity v))
+  with
+  | 0 -> `Done
+  | n ->
+      let now = Unix.gettimeofday () in
+      t.last_active <- now;
+      r.last_chunk <- now;
+      r.on_data t.rbuf 0 n;
+      `Again
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> `Again
+
+let rec reader_arm r =
+  Mutex.lock r.r_mu;
+  if r.ended then Mutex.unlock r.r_mu
+  else if r.deadline_passed then begin
+    Mutex.unlock r.r_mu;
+    reader_end r (Some Net.Timeout)
+  end
+  else begin
+    r.current <-
+      Some
+        (Lhws_runtime.Io.submit r.io ~kind:`R ~fd:r.conn.fd ~run:(reader_run r)
+           (reader_done r));
+    Mutex.unlock r.r_mu
+  end
+
+and reader_done r outcome =
+  match outcome with
+  | Lhws_runtime.Io.Complete -> reader_end r None
+  | Lhws_runtime.Io.Cancelled -> reader_end r (Some Net.Timeout)
+  | Lhws_runtime.Io.Error (Injected_delay d) ->
+      Mutex.lock r.r_mu;
+      r.current <- None;
+      Mutex.unlock r.r_mu;
+      Lhws_runtime.Timer.add r.timer ~deadline:(Unix.gettimeofday () +. d) (fun () ->
+          reader_arm r)
+  | Lhws_runtime.Io.Error (Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)) ->
+      reader_end r None
+  | Lhws_runtime.Io.Error (Unix.Unix_error (Unix.EBADF, _, _)) when Atomic.get r.conn.closed
+    ->
+      reader_end r (Some Net.Closed)
+  | Lhws_runtime.Io.Error e -> reader_end r (Some e)
+
+(* The deadline watch.  Once it passes, [deadline_passed] stays set, so
+   whichever way the current intent ends — claimed here, [Cancelled] by
+   the pump, or an injected delay whose re-arm finds the flag — the
+   reader ends with [Net.Timeout]. *)
+let rec reader_watch r timeout =
+  r.th <-
+    Some
+      (Lhws_runtime.Timer.add_cancellable r.timer ~deadline:(r.last_chunk +. timeout)
+         (fun () -> reader_deadline r timeout))
+
+and reader_deadline r timeout =
+  Mutex.lock r.r_mu;
+  if r.ended then Mutex.unlock r.r_mu
+  else if Unix.gettimeofday () < r.last_chunk +. timeout then begin
+    reader_watch r timeout;
+    Mutex.unlock r.r_mu
+  end
+  else begin
+    r.th <- None;
+    r.deadline_passed <- true;
+    let claimed =
+      match r.current with Some w -> Lhws_runtime.Io.cancel r.io w | None -> false
+    in
+    Mutex.unlock r.r_mu;
+    if claimed then reader_end r (Some Net.Timeout)
+  end
+
+let start_reader t ~on_data ~on_end =
+  match Reactor.fiber_io t.rt with
+  | None -> invalid_arg "Conn.start_reader: needs a fiber-mode reactor"
+  | Some (io, timer) ->
+      if t.rpos < t.rlen then invalid_arg "Conn.start_reader: bytes already buffered";
+      enter t;
+      let r =
+        {
+          conn = t;
+          io;
+          timer;
+          on_data;
+          on_end;
+          r_owed = ref None;
+          r_mu = Mutex.create ();
+          current = None;
+          deadline_passed = false;
+          ended = false;
+          th = None;
+          last_chunk = Unix.gettimeofday ();
+        }
+      in
+      Option.iter
+        (fun s ->
+          Mutex.lock r.r_mu;
+          reader_watch r s;
+          Mutex.unlock r.r_mu)
+        t.read_timeout;
+      reader_arm r
 
 (* The shared engine under [write_all] / [writev_all]: drive the vector
    through the kernel until empty.  One logical operation draws one fault

@@ -42,6 +42,8 @@ let is_fibers t = match t.mode with Fibers _ -> true | Blocking -> false
 
 let fault t = t.fault
 
+let fiber_io t = match t.mode with Fibers { io; timer } -> Some (io, timer) | Blocking -> None
+
 (* Sleep without holding a worker in fiber mode: park the fiber on the
    reactor's deadline timer (the same one racing I/O waits).  Blocking
    mode just blocks — that is its cost model.  Used by injected-latency

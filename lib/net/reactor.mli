@@ -48,6 +48,11 @@ val is_fibers : t -> bool
 val fault : t -> Fault.t option
 (** The attached fault plane, if any. *)
 
+val fiber_io : t -> (Lhws_runtime.Io.t * Lhws_runtime.Timer.t) option
+(** Fiber mode's intent reactor and deadline timer, for drivers that
+    keep an intent of their own instead of going through {!run_io}
+    ({!Conn.start_reader}'s persistent read); [None] in blocking mode. *)
+
 val sleep : t -> float -> unit
 (** Sleeps without holding a worker in fiber mode (the fiber parks on
     the reactor's deadline timer); plain [Unix.sleepf] in blocking mode.

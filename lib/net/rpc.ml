@@ -149,6 +149,55 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?co
 
 (* --- pipelined client --- *)
 
+(* Incremental response decoding: bytes go in as they arrive, in chunks
+   of any size, and each completed frame comes out through [frame].  One
+   decoder serves both read drivers — the reactor pump's reader in fiber
+   mode, a reader task's [Conn.read] loop on blocking reactors. *)
+module Decoder = struct
+  type t = {
+    hdr : Bytes.t;
+    mutable have : int;  (* header bytes so far; 13 once in the payload *)
+    mutable payload : Bytes.t;
+    mutable filled : int;
+  }
+
+  let create () = { hdr = Bytes.create 13; have = 0; payload = Bytes.empty; filled = 0 }
+
+  (* A frame has started but not finished: EOF now is the peer dying
+     mid-frame. *)
+  let mid_frame d = d.have > 0
+
+  let rec feed d buf pos len ~frame =
+    if d.have < 13 then begin
+      if len > 0 then begin
+        let k = min len (13 - d.have) in
+        Bytes.blit buf pos d.hdr d.have k;
+        d.have <- d.have + k;
+        if d.have = 13 then begin
+          let plen = Int32.to_int (Bytes.get_int32_be d.hdr 0) in
+          check_len plen;
+          d.payload <- Bytes.create plen;
+          d.filled <- 0
+        end;
+        feed d buf (pos + k) (len - k) ~frame
+      end
+    end
+    else begin
+      let k = min len (Bytes.length d.payload - d.filled) in
+      Bytes.blit buf pos d.payload d.filled k;
+      d.filled <- d.filled + k;
+      if d.filled = Bytes.length d.payload then begin
+        let id = Int64.to_int (Bytes.get_int64_be d.hdr 4) in
+        let status = Bytes.get_uint8 d.hdr 12 in
+        let payload = d.payload in
+        d.have <- 0;
+        d.payload <- Bytes.empty;
+        frame id status payload
+      end;
+      if len > k then feed d buf (pos + k) (len - k) ~frame
+    end
+end
+
 module Client = struct
   type t = {
     conn : Conn.t;
@@ -157,7 +206,9 @@ module Client = struct
     pending : (int, Bytes.t Promise.t) Hashtbl.t;
     next_id : int Atomic.t;
     closed : bool Atomic.t;
-    mutable await_demux : unit -> unit;  (* set once, before [connect] returns *)
+    decoder : Decoder.t;
+    reader_done : unit Promise.t;  (* fulfilled once the reader has stopped *)
+    await : unit Promise.t -> unit;  (* the pool's [await] *)
   }
 
   let take_pending c id =
@@ -187,33 +238,46 @@ module Client = struct
     Conn.close c.conn;
     fail_all c e
 
-  (* Reads responses until the connection dies, resolving each pending
-     call.  Runs as its own pool task: a fiber on the latency-hiding
-     pool, a dedicated thread on the thread pool.  NOT safe on the
-     helping-await WS pool — helping would run this non-terminating loop
-     inside a caller's await and bury its continuation; blocking pools
-     should use [call_sync] over dedicated connections instead. *)
-  let demux c =
+  let resolve c id status payload =
+    match take_pending c id with
+    | None -> ()  (* response to a call we already failed *)
+    | Some p ->
+        let r =
+          if status = 0 then Ok payload
+          else Error (Net.Remote_error (Bytes.to_string payload))
+        in
+        (try Promise.fulfill p r with Invalid_argument _ -> ())
+
+  let on_data c buf pos len = Decoder.feed c.decoder buf pos len ~frame:(resolve c)
+
+  (* The reader stopped: [None] is end of stream.  EOF mid-frame means
+     the server died with responses owed; pending calls then fail with
+     Peer_closed, so retry policies know the failure is
+     endpoint-transient, not protocol-fatal.  A silent connection past
+     [read_timeout] fails them with Closed. *)
+  let on_end c e =
+    let e =
+      match e with
+      | None -> if Decoder.mid_frame c.decoder then Net.Peer_closed else Net.Closed
+      | Some (Net.Closed | Net.Timeout | End_of_file) -> Net.Closed
+      | Some e -> e
+    in
+    fail_conn c e;
+    Promise.fulfill c.reader_done (Ok ())
+
+  (* The blocking-reactor driver: a pool task that feeds the decoder
+     from [Conn.read] until the connection ends.  A read of at least
+     [Conn]'s buffer size goes straight into [buf]. *)
+  let read_loop c =
+    let buf = Bytes.create (16 * 1024) in
     let rec loop () =
-      match read_response c.conn with
-      | None -> fail_conn c Net.Closed
-      | Some (id, status, payload) ->
-          (match take_pending c id with
-          | None -> ()  (* response to a call we already failed *)
-          | Some p ->
-              let r =
-                if status = 0 then Ok payload
-                else Error (Net.Remote_error (Bytes.to_string payload))
-              in
-              (try Promise.fulfill p r with Invalid_argument _ -> ()));
+      match Conn.read c.conn buf 0 (Bytes.length buf) with
+      | 0 -> ()
+      | n ->
+          on_data c buf 0 n;
           loop ()
     in
-    try loop () with
-    | Net.Closed | Net.Timeout | End_of_file -> fail_conn c Net.Closed
-    (* EOF mid-frame: the server died with responses owed.  Pending
-       calls fail with Peer_closed so retry policies know the failure
-       is endpoint-transient, not protocol-fatal. *)
-    | e -> fail_conn c e
+    on_end c (match loop () with () -> None | exception e -> Some e)
 
   let connect (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       ?read_timeout ?write_timeout addr =
@@ -231,11 +295,13 @@ module Client = struct
         pending = Hashtbl.create 32;
         next_id = Atomic.make 1;
         closed = Atomic.make false;
-        await_demux = ignore;
+        decoder = Decoder.create ();
+        reader_done = Promise.create ();
+        await = P.await pool;
       }
     in
-    let task = P.async pool (fun () -> demux c) in
-    c.await_demux <- (fun () -> P.await pool task);
+    if Reactor.is_fibers rt then Conn.start_reader conn ~on_data:(on_data c) ~on_end:(on_end c)
+    else ignore (P.async pool (fun () -> read_loop c) : unit Promise.t);
     c
 
   let call c payload =
@@ -245,9 +311,10 @@ module Client = struct
     Mutex.lock c.pending_mu;
     Hashtbl.replace c.pending id p;
     Mutex.unlock c.pending_mu;
-    (* Re-check after publishing: if demux failed between the first check
-       and our insert, its drain may already have swept [pending] and
-       would never see [p].  Any close after this point finds [p] there. *)
+    (* Re-check after publishing: if the reader ended between the first
+       check and our insert, its drain may already have swept [pending]
+       and would never see [p].  Any close after this point finds [p]
+       there. *)
     if Atomic.get c.closed then begin
       ignore (take_pending c id : _ option);
       raise Net.Closed
@@ -258,20 +325,19 @@ module Client = struct
        raise e);
     p
 
-  (* [close] waits for the demux task to unwind, because that task holds
-     an in-flight-operation reference on the connection while parked in a
-     read: its woken continuation is just a queued pool task, and one
-     still queued when the pool shuts down is dropped — the reference
-     would never release and the descriptor would outlive the client.
-     Closing the conn first guarantees the demux's next read fails, so
-     the wait is bounded.  Never call [close] from the demux path itself
-     ([fail_conn] is the internal teardown); it would self-deadlock. *)
+  (* [close] waits for the reader to stop, because it holds a reference
+     on the connection while registered (fiber mode) or parked in a read
+     (a blocking reader task): the descriptor must not outlive the
+     client.  Closing the conn first makes the reader's next read see
+     EOF, so the wait is bounded.  Never call [close] from the reader's
+     path — a call's promise waiter runs there in fiber mode; it would
+     wait on itself ([fail_conn] is the internal teardown). *)
   let close c =
     if Atomic.compare_and_set c.closed false true then begin
-      Conn.close c.conn;  (* wakes the demux task, which fails pending *)
+      Conn.close c.conn;  (* ends the reader, which fails pending *)
       fail_all c Net.Closed
     end;
-    c.await_demux ()
+    c.await c.reader_done
 end
 
 (* --- synchronous round-trip, for blocking pools --- *)

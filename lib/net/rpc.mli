@@ -50,11 +50,20 @@ val serve :
 
 (** {1 Pipelined client}
 
-    Safe on pools whose [async] gives the demultiplexer its own
-    execution context: fibers (latency-hiding pool) or dedicated threads
-    (thread pool).  {b Not} for the helping-await WS pool — helping
-    would run the non-terminating demux loop inside a caller's [await]
-    and bury its continuation; use {!call_sync} there. *)
+    Replies are decoded by one incremental frame decoder per client,
+    fed by one of two readers:
+
+    - On a fiber-mode reactor there is no reader task.  The connection
+      keeps one persistent read intent ({!Conn.start_reader}); the
+      reactor pump reads each reply as it arrives, decodes it and
+      fulfils the call's promise right there, so the caller's resume is
+      queued without a scheduling hop through a reader fiber.
+    - On a blocking reactor the reader is a pool task that loops
+      [Conn.read] into the decoder, so the pool's [async] must give it
+      its own execution context: a dedicated thread (thread pool).
+      {b Not} for the helping-await WS pool — helping would run the
+      non-terminating read loop inside a caller's [await] and bury its
+      continuation; use {!call_sync} there. *)
 
 module Client : sig
   type t
@@ -67,7 +76,11 @@ module Client : sig
     ?write_timeout:float ->
     Unix.sockaddr ->
     t
-  (** Connects and spawns the response demultiplexer as a pool task. *)
+  (** Connects and starts the reply reader: the pump-side read intent in
+      fiber mode, a reader pool task on a blocking reactor.
+      [read_timeout] bounds each wait for the next reply bytes, not the
+      client's life: when it passes with nothing read, the connection
+      is closed and pending calls fail with [Net.Closed]. *)
 
   val call : t -> bytes -> bytes Lhws_runtime.Promise.t
   (** Sends one request; the promise resolves when its response arrives
@@ -79,7 +92,12 @@ module Client : sig
       connection, which {!Resilience.Client} automates). *)
 
   val close : t -> unit
-  (** Closes the connection; pending calls fail with [Net.Closed]. *)
+  (** Closes the connection; pending calls fail with [Net.Closed].
+      Returns once the reader has stopped, awaiting it through the
+      pool's [await].  In fiber mode a call's promise is fulfilled in
+      the reactor pump, so never call [close] from a waiter registered
+      on it ({!Lhws_runtime.Promise.add_waiter}); await the promise and
+      close from the task instead. *)
 end
 
 val call_sync : Conn.t -> bytes -> bytes

@@ -47,7 +47,10 @@ type intent = {
   notify : outcome -> unit;
   mutable istate : state;  (* guarded by [t.mu] *)
   mutable cancel_requested : bool;  (* guarded by [t.mu] *)
-  isubmitted : float;  (* when the fiber parked; feeds the staleness gauge *)
+  mutable isubmitted : float;
+      (* when the intent was last armed: at submission, and again at each
+         re-arm on [`Again]; feeds the staleness gauge and the sweep's
+         grace check.  Written by the pump only after submission. *)
   mutable iregistered : bool;
       (* guarded by [t.mu]: in the waiter tables right now.  An [Armed]
          intent that is neither registered nor sitting in a submission
@@ -404,8 +407,11 @@ let deliver t w outcome =
 
 (* Run a claimed intent's operation in the pump.  A would-block answer
    re-arms the intent (no completion, the fiber stays parked) unless a
-   cancel arrived while we held the claim. *)
-let execute t w =
+   cancel arrived while we held the claim.  A re-armed intent counts as
+   parked from [now], the pass that just ran it: a persistent intent
+   that re-arms on every chunk (a connection's reader) is as young as
+   its last chunk, not as old as the connection. *)
+let execute t ~now w =
   match w.run () with
   | `Done ->
       deliver t w Complete;
@@ -419,6 +425,7 @@ let execute t w =
       end
       else begin
         w.istate <- Armed;
+        w.isubmitted <- now;
         register_locked t w;
         Mutex.unlock t.mu;
         0
@@ -479,7 +486,8 @@ let poll t =
           Mutex.unlock t.mu;
           (* 3. Execute the ready operations right here and deliver the
              completions; re-armed intents go back without a wake-up. *)
-          List.fold_left (fun acc w -> acc + execute t w) 0 ws
+          let now = t.last_pass in
+          List.fold_left (fun acc w -> acc + execute t ~now w) 0 ws
     end
   end
 

@@ -82,10 +82,11 @@ val submit :
   intent
 (** Enqueues an intent.  Once the fd is ready the pump calls [run]:
     [`Done] means the operation completed (stash results in the
-    closure); [`Again] means it would still block — the intent is
-    re-armed without a completion; raising delivers [Error].  Exactly
-    one completion is delivered unless {!cancel} claims the intent
-    first. *)
+    closure); [`Again] means it would still block, or that a persistent
+    intent wants the next readiness edge too — the intent is re-armed
+    without a completion, and counts as parked from that pass on;
+    raising delivers [Error].  Exactly one completion is delivered
+    unless {!cancel} claims the intent first. *)
 
 val cancel : t -> intent -> bool
 (** Atomically claims the intent: [true] guarantees its callback will
@@ -192,9 +193,10 @@ val count_syscall : t -> unit
 
 val oldest_parked_ms : t -> float
 (** Age in milliseconds of the oldest intent still armed in this
-    reactor's census (0 when nothing is parked, or before
-    {!start_census}) — the staleness gauge behind the pools'
-    [oldest_parked_ms] stats field. *)
+    reactor's census, measured from when it was last armed — its
+    submission, or its latest re-arm on [`Again] (0 when nothing is
+    parked, or before {!start_census}) — the staleness gauge behind the
+    pools' [oldest_parked_ms] stats field. *)
 
 val sweep_stalled :
   t ->

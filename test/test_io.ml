@@ -279,6 +279,56 @@ let blocking_pass_serves ~workers () =
             (Printf.sprintf "reader resumed %.1f ms after the write" (resumed_after *. 1e3))
             true (resumed_after < 0.5)))
 
+(* --- a persistent intent's park time ---
+
+   An intent whose [run] answers [`Again] after each chunk (a
+   connection's reader) is re-armed by the pump on every readiness edge.
+   The staleness gauge must date it from its latest re-arm: 20 chunks
+   5 ms apart, then 10 ms of quiet, must read as 10 ms parked, not as
+   the 100+ ms since submission.  The pump is driven by hand, no pool. *)
+let test_rearm_refreshes_park_time () =
+  let io = Io.create () in
+  Io.start_census io;
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      let chunks = ref 0 in
+      let buf = Bytes.create 16 in
+      let run () =
+        ignore (Unix.read r buf 0 16 : int);
+        incr chunks;
+        `Again
+      in
+      let submitted = Unix.gettimeofday () in
+      let intent = Io.submit io ~kind:`R ~fd:r ~run (fun _ -> ()) in
+      let last_write = ref submitted in
+      for i = 1 to 20 do
+        Unix.sleepf 0.005;
+        last_write := Unix.gettimeofday ();
+        ignore (Unix.write_substring w "x" 0 1 : int);
+        let give_up = !last_write +. 2. in
+        while !chunks < i do
+          if Unix.gettimeofday () > give_up then Alcotest.fail "the pump never ran the intent";
+          ignore (Io.poll io : int);
+          Unix.sleepf 0.0001
+        done
+      done;
+      Unix.sleepf 0.01;
+      let gauge = Io.oldest_parked_ms io in
+      let now = Unix.gettimeofday () in
+      let since_last = (now -. !last_write) *. 1e3 in
+      let since_submit = (now -. submitted) *. 1e3 in
+      Alcotest.(check int) "still one parked intent" 1 (Io.pending io);
+      Alcotest.(check bool)
+        (Printf.sprintf "gauge %.1f ms <= %.1f ms since the last re-arm (%.1f ms since submit)"
+           gauge since_last since_submit)
+        true
+        (gauge > 0. && gauge <= since_last && since_last < since_submit /. 2.);
+      Alcotest.(check bool) "cancelled" true (Io.cancel io intent))
+
 let test_poll_single_us_timeout () =
   let r, w = Unix.pipe ~cloexec:true () in
   Fun.protect
@@ -313,6 +363,8 @@ let () =
           Alcotest.test_case "fd error surfaces to parked writer" `Quick
             (fd_error_surfaces `W);
           Alcotest.test_case "io_pending stats gauge" `Quick test_io_pending_stat;
+          Alcotest.test_case "re-arm refreshes park time" `Quick
+            test_rearm_refreshes_park_time;
         ] );
       ( "blocking pass",
         [

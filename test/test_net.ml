@@ -145,6 +145,158 @@ let test_rpc_remote_error () =
       in
       Alcotest.(check string) "handler failure surfaced" "remote" got)
 
+(* --- a reply resolves its call where its readiness is seen ---
+
+   Both workers run chains of short tasks for 50 ms, each task spawning
+   its successor before it spins, so neither worker's active deque ever
+   runs dry and neither steals.  The chains are submitted from the
+   server's domain while the pool is idle, so each starts on a fresh
+   deque: whatever deque a reply-reading fiber is homed on is only
+   ready, never active, and would not run again until a chain ends.  The
+   reply must resolve its call within a few ms of leaving the server
+   anyway — the pump, which runs between tasks, reads and resolves it. *)
+
+let listening_socket () =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd loopback0;
+  Unix.listen fd 8;
+  fd
+
+let really_read fd buf len =
+  let rec go pos =
+    if pos < len then
+      match Unix.read fd buf pos (len - pos) with
+      | 0 -> raise End_of_file
+      | n -> go (pos + n)
+  in
+  go 0
+
+let test_rpc_reply_resolves_while_busy () =
+  let now = Unix.gettimeofday in
+  let lfd = listening_socket () in
+  let sent_at = Atomic.make 0. in
+  let chain_until = Atomic.make infinity in
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let rec chain () =
+        if now () < Atomic.get chain_until then begin
+          ignore (Pl.async p chain : unit Promise.t);
+          let t = now () +. 0.0002 in
+          while now () < t do
+            Domain.cpu_relax ()
+          done
+        end
+      in
+      (* A raw Rpc peer: one request in, one response out. *)
+      let server =
+        Domain.spawn (fun () ->
+            let fd, _ = Unix.accept ~cloexec:true lfd in
+            let hdr = Bytes.create 12 in
+            really_read fd hdr 12;
+            let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+            really_read fd (Bytes.create len) len;
+            Unix.sleepf 0.005;  (* the caller sleeps; the pool is idle *)
+            Atomic.set chain_until (now () +. 0.05);
+            Lhws_pool.submit p chain;
+            Lhws_pool.submit p chain;
+            Unix.sleepf 0.005;
+            let resp = Bytes.create 15 in
+            Bytes.set_int32_be resp 0 2l;
+            Bytes.blit hdr 4 resp 4 8;
+            Bytes.set_uint8 resp 12 0;
+            Bytes.blit_string "ok" 0 resp 13 2;
+            ignore (Unix.write fd resp 0 15 : int);
+            Atomic.set sent_at (now ());
+            (try really_read fd (Bytes.create 1) 1 with End_of_file | Unix.Unix_error _ -> ());
+            Unix.close fd)
+      in
+      let reply, resolved =
+        Pl.run p (fun () ->
+            let c = Rpc.Client.connect (module Pl) p rt (Unix.getsockname lfd) in
+            let pr = Rpc.Client.call c (Bytes.of_string "x") in
+            let resolved = Atomic.make 0. in
+            if not (Promise.add_waiter pr (fun () -> Atomic.set resolved (now ()))) then
+              Atomic.set resolved (now ());
+            Pl.sleep p 0.1;
+            let reply = Bytes.to_string (Pl.await p pr) in
+            Rpc.Client.close c;
+            (reply, Atomic.get resolved))
+      in
+      Domain.join server;
+      Unix.close lfd;
+      let lag = resolved -. Atomic.get sent_at in
+      Alcotest.(check string) "reply" "ok" reply;
+      Alcotest.(check bool)
+        (Printf.sprintf "resolved %.2f ms after the send, workers busy" (lag *. 1e3))
+        true (lag < 0.005))
+
+(* --- Client ?read_timeout bounds each wait for a reply chunk, not the
+       client's life --- *)
+
+let test_rpc_read_timeout_silent_server () =
+  (* Connections queue in the backlog and are never accepted: requests
+     go out, nothing ever comes back. *)
+  let lfd = listening_socket () in
+  with_lhws_net (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let outcome, waited =
+        Pl.run p (fun () ->
+            let c =
+              Rpc.Client.connect (module Pl) p rt ~read_timeout:0.1 (Unix.getsockname lfd)
+            in
+            let t0 = Unix.gettimeofday () in
+            let calls = List.init 3 (fun _ -> Rpc.Client.call c (Bytes.of_string "x")) in
+            let outcome =
+              List.map
+                (fun pr ->
+                  match Pl.await p pr with
+                  | _ -> "answered"
+                  | exception Net.Closed -> "closed"
+                  | exception e -> Printexc.to_string e)
+                calls
+            in
+            let waited = Unix.gettimeofday () -. t0 in
+            Rpc.Client.close c;
+            (outcome, waited))
+      in
+      Unix.close lfd;
+      Alcotest.(check (list string)) "every pending call fails Closed"
+        [ "closed"; "closed"; "closed" ] outcome;
+      Alcotest.(check bool)
+        (Printf.sprintf "failed after %.0f ms (read_timeout 100 ms)" (waited *. 1e3))
+        true
+        (waited >= 0.08 && waited < 1.))
+
+let test_rpc_read_timeout_slow_server () =
+  (* Each reply takes 50 ms, under the 150 ms read_timeout; six in a row
+     take twice the timeout, and the client must survive them all. *)
+  with_lhws_net (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let replies, took =
+        Pl.run p (fun () ->
+            let l =
+              Rpc.serve (module Pl) p rt loopback0 ~handler:(fun b ->
+                  Pl.sleep p 0.05;
+                  b)
+            in
+            let c = Rpc.Client.connect (module Pl) p rt ~read_timeout:0.15 (Listener.addr l) in
+            let t0 = Unix.gettimeofday () in
+            let replies =
+              List.init 6 (fun i ->
+                  let b = Bytes.of_string (string_of_int i) in
+                  Bytes.equal b (Pl.await p (Rpc.Client.call c b)))
+            in
+            let took = Unix.gettimeofday () -. t0 in
+            Rpc.Client.close c;
+            Listener.shutdown ~grace:2. l;
+            (replies, took))
+      in
+      Alcotest.(check (list bool)) "every slow reply arrives" (List.init 6 (fun _ -> true))
+        replies;
+      Alcotest.(check bool)
+        (Printf.sprintf "the whole wait (%.0f ms) outlasts read_timeout" (took *. 1e3))
+        true (took > 0.15))
+
 (* --- per-operation deadlines --- *)
 
 let test_conn_deadline_fibers () =
@@ -396,6 +548,12 @@ let () =
           Alcotest.test_case "remote error" `Quick test_rpc_remote_error;
           Alcotest.test_case "queued writes do not poll" `Quick
             test_rpc_queued_writes_do_not_poll;
+          Alcotest.test_case "reply resolves while its home worker stays busy" `Quick
+            test_rpc_reply_resolves_while_busy;
+          Alcotest.test_case "read_timeout fails a silent server" `Quick
+            test_rpc_read_timeout_silent_server;
+          Alcotest.test_case "read_timeout spans slow replies" `Quick
+            test_rpc_read_timeout_slow_server;
         ] );
       ( "conn",
         [

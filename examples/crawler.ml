@@ -124,8 +124,9 @@ let crawl_latency_hiding addr =
       let t0 = Unix.gettimeofday () in
       let v, c =
         Pool.run pool (fun () ->
-            (* connect inside run (each demux is a pool task), crawl with
-               pipelined calls round-robin over the connections *)
+            (* connect inside run ([close] awaits the reader's end
+               through the pool), crawl with pipelined calls round-robin
+               over the connections *)
             let clients =
               Array.init client_conns (fun _ -> Rpc.Client.connect (module Pool) pool rt addr)
             in

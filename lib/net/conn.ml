@@ -6,7 +6,8 @@
    executes on readiness; in blocking mode the deadline becomes the
    poll timeout — either way a dead peer costs Net.Timeout, never a
    worker parked forever.  The one exception is the pump-side reader
-   ([start_reader]), which keeps a persistent intent of its own. *)
+   ([start_reader] in fiber mode), which keeps a persistent intent of
+   its own. *)
 
 module Iov = Lhws_runtime.Io.Iov
 
@@ -194,7 +195,7 @@ let read_exactly t buf len =
   in
   go 0
 
-(* --- the pump-side reader (fiber mode) ---
+(* --- the reader: pump-side in fiber mode, a task otherwise ---
 
    One persistent read intent per connection.  Its [run] executes in
    the reactor pump whenever the descriptor turns readable: one kernel
@@ -327,11 +328,23 @@ and reader_deadline r timeout =
     if claimed then reader_end r (Some Net.Timeout)
   end
 
-let start_reader t ~on_data ~on_end =
+(* On a blocking reactor there is no pump: a task loops [read_once]
+   into the same buffer and ends the same way. *)
+let read_task t ~on_data ~on_end () =
+  let rec loop () =
+    match read_once t t.rbuf 0 buf_capacity with
+    | 0 -> None
+    | n ->
+        on_data t.rbuf 0 n;
+        loop ()
+  in
+  on_end (match loop () with r -> r | exception e -> Some e)
+
+let start_reader t ~spawn ~on_data ~on_end =
+  if t.rpos < t.rlen then invalid_arg "Conn.start_reader: bytes already buffered";
   match Reactor.fiber_io t.rt with
-  | None -> invalid_arg "Conn.start_reader: needs a fiber-mode reactor"
+  | None -> spawn (read_task t ~on_data ~on_end)
   | Some (io, timer) ->
-      if t.rpos < t.rlen then invalid_arg "Conn.start_reader: bytes already buffered";
       enter t;
       let r =
         {

@@ -26,31 +26,39 @@ val read_exactly : t -> bytes -> int -> unit
 (** Fills the buffer's first [len] bytes. @raise End_of_file at EOF. *)
 
 val start_reader :
-  t -> on_data:(Bytes.t -> int -> int -> unit) -> on_end:(exn option -> unit) -> unit
-(** Fiber mode only: reads the connection from the reactor pump for the
-    rest of its life.  One persistent intent is registered; each time
-    the descriptor turns readable the pump makes one kernel read and
-    calls [on_data buf pos len] right there, then re-arms the intent
-    without waking any fiber.  [buf] is the connection's own buffer, so
+  t ->
+  spawn:((unit -> unit) -> unit) ->
+  on_data:(Bytes.t -> int -> int -> unit) ->
+  on_end:(exn option -> unit) ->
+  unit
+(** Reads the connection for the rest of its life, handing each chunk
+    to [on_data buf pos len].  [buf] is the connection's own buffer, so
     [on_data] must copy what it keeps, and nothing else may {!read} the
     connection once the reader has started.  Start it before anything
-    has read from the connection.
+    has read from the connection.  This is the one read driver of the
+    pipelined clients.
+
+    In fiber mode the reader lives in the reactor pump.  One persistent
+    intent is registered; each time the descriptor turns readable the
+    pump makes one kernel read and calls [on_data] right there, then
+    re-arms the intent without waking any fiber.  The reader pins the
+    descriptor until it ends, draws one fault verdict per kernel read
+    (an injected delay postpones the next read through the reactor's
+    timer) and counts each read in the reactor's syscalls, like {!read}.
+    On a blocking reactor, [spawn] runs a task (the pool's [async]) that
+    loops {!read}'s kernel read into the same buffer.
 
     [on_end] runs exactly once, when the reader stops: [None] at end of
     file (a reset peer reads as EOF, as with {!read}), [Some Net.Timeout]
     when [read_timeout] passes with no chunk arriving, [Some Net.Closed]
-    on a descriptor failed by {!close}, and [Some e] when the read or
-    [on_data] raised [e].  Both callbacks run in the pump (or, for a
-    deadline, a timer callback): they must not block or suspend.
-
-    The reader pins the descriptor until it ends, draws one fault
-    verdict per kernel read (an injected delay postpones the next read
-    through the reactor's timer) and counts each read in the reactor's
-    syscalls, like {!read}.  {!close} ends it: the shutdown makes the
+    on a connection closed by {!close}, and [Some e] when the read or
+    [on_data] raised [e].  In fiber mode both callbacks run in the pump
+    (or, for a deadline, a timer callback): they must not block or
+    suspend.  {!close} ends the reader: the shutdown makes the
     descriptor read EOF.
-    @raise Net.Closed if the connection is already closed.
-    @raise Invalid_argument on a blocking-mode reactor, or when an
-    earlier {!read} left bytes in the connection's buffer. *)
+    @raise Net.Closed in fiber mode if the connection is already closed.
+    @raise Invalid_argument when an earlier {!read} left bytes in the
+    connection's buffer. *)
 
 val write_all : t -> bytes -> unit
 (** Writes the whole buffer.

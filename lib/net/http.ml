@@ -192,52 +192,58 @@ let framing_of headers ~max_body =
       else parse_err 501 "unsupported transfer-encoding"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental request parser                                         *)
+(* Incremental HTTP/1.1 decoder                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One decoder for both directions: the server parses requests with it
+   and {!Client} reads responses with it.  They share the buffer, the
+   head scan, the [Fixed]/chunked body states, the limits and the
+   trailer checks.  Only the start line ([head]) and the body rule
+   ([framing]) differ. *)
 module Parser = struct
   type error = { status : int; reason : string }
 
   type event = Need_more | Request of request | Failed of error
 
-  (* Everything about the current request learned from its head. *)
-  type head = {
-    h_meth : string;
-    h_target : string;
-    h_path : string;
-    h_query : string;
-    h_version : version;
-    h_headers : (string * string) list;
-    h_keep : bool;
-  }
-
-  type state =
+  (* A head decodes into the message itself with an empty body; the
+     body states carry it until [with_body] completes it. *)
+  type 'm state =
     | Scan_head
-    | Body_fixed of head * int
-    | Chunk_size of head * Buffer.t
-    | Chunk_data of head * Buffer.t * int
-    | Chunk_trailer of head * Buffer.t * int  (* trailer bytes consumed *)
+    | Body_fixed of 'm * int
+    | Chunk_size of 'm * Buffer.t
+    | Chunk_data of 'm * Buffer.t * int
+    | Chunk_trailer of 'm * Buffer.t * int  (* trailer bytes consumed *)
     | Broken of error
 
-  type t = {
+  type 'm decoder = {
     mutable buf : Bytes.t;
     mutable pos : int;  (* consumed prefix *)
     mutable len : int;  (* filled prefix *)
     mutable scanned : int;  (* head-terminator scan high-water mark *)
-    mutable st : state;
+    mutable st : 'm state;
     max_header : int;
     max_body : int;
+    head : string -> 'm;
+        (* the head block, without its final CRLF, into the body-less
+           message *)
+    framing : max_body:int -> 'm -> framing;
+    with_body : 'm -> Bytes.t -> 'm;
   }
 
-  let create ?(max_header_bytes = 16 * 1024) ?(max_body_bytes = 8 * 1024 * 1024) () =
+  type t = request decoder
+
+  let make ~max_header ~max_body ~head ~framing ~with_body =
     {
       buf = Bytes.create 4096;
       pos = 0;
       len = 0;
       scanned = 0;
       st = Scan_head;
-      max_header = max_header_bytes;
-      max_body = max_body_bytes;
+      max_header;
+      max_body;
+      head;
+      framing;
+      with_body;
     }
 
   let buffered t = t.len - t.pos
@@ -315,7 +321,7 @@ module Parser = struct
         (meth, target, version)
     | _ -> parse_err 400 "malformed request line"
 
-  let parse_head_block t text =
+  let request_head text =
     match split_crlf text with
     | [] -> parse_err 400 "empty head"
     | rline :: hlines ->
@@ -328,34 +334,49 @@ module Parser = struct
               ( String.sub target 0 i,
                 String.sub target (i + 1) (String.length target - i - 1) )
         in
-        let keep = keep_alive_of ~version headers in
-        let h =
-          {
-            h_meth = meth;
-            h_target = target;
-            h_path = path;
-            h_query = query;
-            h_version = version;
-            h_headers = headers;
-            h_keep = keep;
-          }
-        in
-        (h, framing_of headers ~max_body:t.max_body)
+        {
+          meth;
+          target;
+          path;
+          query;
+          version;
+          headers;
+          body = Bytes.empty;
+          keep_alive = keep_alive_of ~version headers;
+        }
 
-  let emit t h body =
-    t.st <- Scan_head;
-    t.scanned <- t.pos;
-    Request
-      {
-        meth = h.h_meth;
-        target = h.h_target;
-        path = h.h_path;
-        query = h.h_query;
-        version = h.h_version;
-        headers = h.h_headers;
-        body;
-        keep_alive = h.h_keep;
-      }
+  let response_head text =
+    match split_crlf text with
+    | [] -> parse_err 400 "empty head"
+    | sline :: hlines ->
+        let status, reason =
+          match String.split_on_char ' ' sline with
+          | version :: code :: rest when String.starts_with ~prefix:"HTTP/" version -> (
+              match int_of_string_opt code with
+              | Some s when s >= 100 && s <= 999 -> (s, String.concat " " rest)
+              | _ -> parse_err 400 "malformed status code")
+          | _ -> parse_err 400 "malformed status line"
+        in
+        let resp_headers = parse_header_lines hlines in
+        ({ status; reason; resp_headers; resp_body = Bytes.empty } : response)
+
+  (* A response has a body unless it answers a HEAD request or its
+     status rules one out (1xx, 204, 304).  [head_only] is asked once
+     per response head. *)
+  let response_framing ~head_only ~max_body (r : response) =
+    if head_only () || r.status < 200 || r.status = 204 || r.status = 304 then Fixed 0
+    else framing_of r.resp_headers ~max_body
+
+  let create ?(max_header_bytes = 16 * 1024) ?(max_body_bytes = 8 * 1024 * 1024) () =
+    make ~max_header:max_header_bytes ~max_body:max_body_bytes ~head:request_head
+      ~framing:(fun ~max_body r -> framing_of r.headers ~max_body)
+      ~with_body:(fun r body -> { r with body })
+
+  (* The client's limits: a 64 KiB head and no body cap. *)
+  let responses ~head_only =
+    make ~max_header:(64 * 1024) ~max_body:max_int ~head:response_head
+      ~framing:(response_framing ~head_only)
+      ~with_body:(fun r body -> { r with resp_body = body })
 
   (* Chunk-size lines are tiny ("<hex>[;ext]"); a kilobyte of slack
      covers any sane extension without letting a hostile peer buffer
@@ -377,20 +398,18 @@ module Parser = struct
     then parse_err 400 "malformed chunk size";
     int_of_string ("0x" ^ hex)
 
-  let rec next t =
-    match t.st with
-    | Broken e -> Failed e
-    | st -> (
-        match step t st with
-        | ev -> ev
-        | exception Parse_err (status, reason) ->
-            let e = { status; reason } in
-            t.st <- Broken e;
-            Failed e)
+  (* Raised by [step] when the next message is not all buffered yet. *)
+  exception Need
 
-  and step t st =
-    match st with
-    | Broken e -> Failed e
+  (* The message is complete and [pos] is past it. *)
+  let finish t m =
+    t.st <- Scan_head;
+    t.scanned <- t.pos;
+    m
+
+  let rec step t =
+    match t.st with
+    | Broken e -> parse_err e.status e.reason
     | Scan_head -> (
         match find_crlfcrlf t t.scanned with
         | None ->
@@ -399,34 +418,36 @@ module Parser = struct
                the limit before terminating. *)
             t.scanned <- max t.scanned (max t.pos (t.len - 3));
             if buffered t > t.max_header then
-              parse_err 431 "request head exceeds the configured limit";
-            Need_more
-        | Some i ->
+              parse_err 431 "head exceeds the configured limit";
+            raise_notrace Need
+        | Some i -> (
             let head_len = i + 4 - t.pos in
             if head_len > t.max_header then
-              parse_err 431 "request head exceeds the configured limit";
+              parse_err 431 "head exceeds the configured limit";
             let text = Bytes.sub_string t.buf t.pos (i - t.pos) in
-            let h, framing = parse_head_block t text in
+            let m = t.head text in
+            let framing = t.framing ~max_body:t.max_body m in
             t.pos <- i + 4;
             t.scanned <- t.pos;
-            (match framing with
-            | Fixed 0 -> t.st <- Body_fixed (h, 0)
-            | Fixed n -> t.st <- Body_fixed (h, n)
-            | Chunked -> t.st <- Chunk_size (h, Buffer.create 256));
-            next t)
-    | Body_fixed (h, n) ->
-        if buffered t < n then Need_more
-        else begin
-          let body = Bytes.sub t.buf t.pos n in
-          t.pos <- t.pos + n;
-          emit t h body
-        end
-    | Chunk_size (h, body) -> (
+            match framing with
+            | Fixed 0 -> m
+            | Fixed n ->
+                t.st <- Body_fixed (m, n);
+                step t
+            | Chunked ->
+                t.st <- Chunk_size (m, Buffer.create 256);
+                step t))
+    | Body_fixed (m, n) ->
+        if buffered t < n then raise_notrace Need;
+        let body = Bytes.sub t.buf t.pos n in
+        t.pos <- t.pos + n;
+        finish t (t.with_body m body)
+    | Chunk_size (m, body) -> (
         match find_crlf t t.pos with
         | None ->
             if buffered t > max_chunk_line then
               parse_err 400 "chunk size line too long";
-            Need_more
+            raise_notrace Need
         | Some i ->
             if i - t.pos > max_chunk_line then
               parse_err 400 "chunk size line too long";
@@ -436,32 +457,30 @@ module Parser = struct
               parse_err 413 "chunked body exceeds the configured limit";
             t.pos <- i + 2;
             t.st <-
-              (if size = 0 then Chunk_trailer (h, body, 0)
-               else Chunk_data (h, body, size));
-            next t)
-    | Chunk_data (h, body, n) ->
+              (if size = 0 then Chunk_trailer (m, body, 0)
+               else Chunk_data (m, body, size));
+            step t)
+    | Chunk_data (m, body, n) ->
         (* Wait for the data plus its trailing CRLF: the boundary check
            below is what catches a peer whose chunk sizes lie. *)
-        if buffered t < n + 2 then Need_more
-        else begin
-          Buffer.add_subbytes body t.buf t.pos n;
-          if Bytes.get t.buf (t.pos + n) <> '\r' || Bytes.get t.buf (t.pos + n + 1) <> '\n'
-          then parse_err 400 "chunk data not terminated by CRLF";
-          t.pos <- t.pos + n + 2;
-          t.st <- Chunk_size (h, body);
-          next t
-        end
-    | Chunk_trailer (h, body, consumed) -> (
+        if buffered t < n + 2 then raise_notrace Need;
+        Buffer.add_subbytes body t.buf t.pos n;
+        if Bytes.get t.buf (t.pos + n) <> '\r' || Bytes.get t.buf (t.pos + n + 1) <> '\n'
+        then parse_err 400 "chunk data not terminated by CRLF";
+        t.pos <- t.pos + n + 2;
+        t.st <- Chunk_size (m, body);
+        step t
+    | Chunk_trailer (m, body, consumed) -> (
         match find_crlf t t.pos with
         | None ->
             if consumed + buffered t > t.max_header then
               parse_err 431 "chunked trailer exceeds the configured limit";
-            Need_more
+            raise_notrace Need
         | Some i when i = t.pos ->
             (* Blank line: the chunked message ends.  Trailer fields
                above were validated and discarded. *)
             t.pos <- t.pos + 2;
-            emit t h (Buffer.to_bytes body)
+            finish t (t.with_body m (Buffer.to_bytes body))
         | Some i ->
             let line = Bytes.sub_string t.buf t.pos (i - t.pos) in
             ignore (parse_header_line line : string * string);
@@ -469,8 +488,27 @@ module Parser = struct
             if consumed > t.max_header then
               parse_err 431 "chunked trailer exceeds the configured limit";
             t.pos <- i + 2;
-            t.st <- Chunk_trailer (h, body, consumed);
-            next t)
+            t.st <- Chunk_trailer (m, body, consumed);
+            step t)
+
+  (* The next message through [msg], [need] when it is not all buffered
+     yet, or the stream's failure through [failed]: a parse error poisons
+     the stream, and every later call fails the same way. *)
+  let decode t ~msg ~need ~failed =
+    match step t with
+    | m -> msg m
+    | exception Need -> need
+    | exception Parse_err (status, reason) ->
+        let e = { status; reason } in
+        t.st <- Broken e;
+        failed e
+
+  let next t =
+    decode t ~msg:(fun r -> Request r) ~need:Need_more ~failed:(fun e -> Failed e)
+
+  let next_response t =
+    decode t ~msg:Option.some ~need:None ~failed:(fun e ->
+        raise (Net.Protocol_error e.reason))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -943,175 +981,32 @@ module Client = struct
     body : Bytes.t;
   }
 
-  (* Sequential buffered reader over a Conn — the demux task is the
-     only reader, so plain mutable state is fine.  Never reads past
-     what the current response can contain only in the aggregate sense:
-     overshoot stays buffered for the next response on the same
-     connection. *)
-  type rdbuf = { rconn : Conn.t; mutable b : Bytes.t; mutable rpos : int; mutable rlen : int }
-
-  let make_rdbuf conn = { rconn = conn; b = Bytes.create 8192; rpos = 0; rlen = 0 }
-
-  let max_resp_head = 64 * 1024
-
-  (* Returns false at EOF. *)
-  let refill rb =
-    let cap = Bytes.length rb.b in
-    if rb.rlen = cap then
-      if rb.rpos > 0 then begin
-        Bytes.blit rb.b rb.rpos rb.b 0 (rb.rlen - rb.rpos);
-        rb.rlen <- rb.rlen - rb.rpos;
-        rb.rpos <- 0
-      end
-      else begin
-        let b = Bytes.create (cap * 2) in
-        Bytes.blit rb.b 0 b 0 rb.rlen;
-        rb.b <- b
-      end;
-    match Conn.read rb.rconn rb.b rb.rlen (Bytes.length rb.b - rb.rlen) with
-    | 0 -> false
-    | n ->
-        rb.rlen <- rb.rlen + n;
-        true
-
-  let proto what = raise (Net.Protocol_error what)
-
-  (* [None] on clean EOF before any byte of a head; Peer_closed on EOF
-     anywhere inside a message — same boundary contract as Rpc. *)
-  let read_head rb =
-    let find_term () =
-      let rec go i =
-        if i + 3 >= rb.rlen then None
-        else if
-          Bytes.get rb.b i = '\r'
-          && Bytes.get rb.b (i + 1) = '\n'
-          && Bytes.get rb.b (i + 2) = '\r'
-          && Bytes.get rb.b (i + 3) = '\n'
-        then Some i
-        else go (i + 1)
-      in
-      go rb.rpos
-    in
-    let rec wait () =
-      match find_term () with
-      | Some i -> Some i
-      | None ->
-          if rb.rlen - rb.rpos > max_resp_head then proto "response head too large";
-          if refill rb then wait ()
-          else if rb.rlen = rb.rpos then None
-          else raise Net.Peer_closed
-    in
-    match wait () with
-    | None -> None
-    | Some i ->
-        let text = Bytes.sub_string rb.b rb.rpos (i - rb.rpos) in
-        rb.rpos <- i + 4;
-        (match split_crlf text with
-        | [] -> proto "empty response head"
-        | sline :: hlines -> (
-            let status, reason =
-              match String.split_on_char ' ' sline with
-              | version :: code :: rest
-                when String.length version >= 5 && String.sub version 0 5 = "HTTP/"
-                ->
-                  let status =
-                    match int_of_string_opt code with
-                    | Some s when s >= 100 && s <= 999 -> s
-                    | _ -> proto "malformed status code"
-                  in
-                  (status, String.concat " " rest)
-              | _ -> proto "malformed status line"
-            in
-            match parse_header_lines hlines with
-            | headers -> Some (status, reason, headers)
-            | exception Parse_err (_, why) -> proto why))
-
-  let read_exact rb n =
-    let out = Bytes.create n in
-    let rec go filled =
-      if filled >= n then out
-      else begin
-        let avail = min (rb.rlen - rb.rpos) (n - filled) in
-        Bytes.blit rb.b rb.rpos out filled avail;
-        rb.rpos <- rb.rpos + avail;
-        let filled = filled + avail in
-        if filled < n && not (refill rb) then raise Net.Peer_closed;
-        go filled
-      end
-    in
-    go 0
-
-  let read_line rb =
-    let find () =
-      let rec go i =
-        if i + 1 >= rb.rlen then None
-        else if Bytes.get rb.b i = '\r' && Bytes.get rb.b (i + 1) = '\n' then Some i
-        else go (i + 1)
-      in
-      go rb.rpos
-    in
-    let rec wait () =
-      match find () with
-      | Some i ->
-          let line = Bytes.sub_string rb.b rb.rpos (i - rb.rpos) in
-          rb.rpos <- i + 2;
-          line
-      | None ->
-          if rb.rlen - rb.rpos > max_resp_head then proto "response line too long";
-          if refill rb then wait () else raise Net.Peer_closed
-    in
-    wait ()
-
-  let parse_chunk_size_line line =
-    match Parser.parse_chunk_size line with
-    | n -> n
-    | exception Parse_err (_, why) -> proto why
-
-  let read_body rb ~head_only ~status headers =
-    if head_only || status = 204 || status = 304 || (status >= 100 && status < 200)
-    then Bytes.create 0
-    else
-      match framing_of headers ~max_body:max_int with
-      | Fixed n -> if n = 0 then Bytes.create 0 else read_exact rb n
-      | Chunked ->
-          let body = Buffer.create 256 in
-          let rec chunks () =
-            let size = parse_chunk_size_line (read_line rb) in
-            if size > 0 then begin
-              Buffer.add_bytes body (read_exact rb size);
-              let crlf = read_exact rb 2 in
-              if Bytes.to_string crlf <> "\r\n" then
-                proto "chunk data not terminated by CRLF";
-              chunks ()
-            end
-            else
-              (* Trailers: discard lines until the blank one. *)
-              let rec trailers () =
-                if read_line rb <> "" then trailers ()
-              in
-              trailers ()
-          in
-          chunks ();
-          Buffer.to_bytes body
-      | exception Parse_err (_, why) -> proto why
-
+  (* Responses come back in request order, so each call's promise waits
+     in a FIFO.  [e_head_only] marks a HEAD request, whose response has
+     no body whatever its headers say. *)
   type entry = { e_promise : resp Promise.t; e_head_only : bool }
 
   type t = {
     conn : Conn.t;
-    rb : rdbuf;
+    parser : response Parser.decoder;
     q_mu : Mutex.t;
     q : entry Queue.t;
     ob : Outbox.t;
     closed : bool Atomic.t;
-    mutable await_demux : unit -> unit;  (* set once, before [connect] returns *)
+    reader_done : unit Promise.t;  (* fulfilled once the reader has stopped *)
+    await : unit Promise.t -> unit;  (* the pool's [await] *)
   }
 
-  let pop_entry c =
-    Mutex.lock c.q_mu;
-    let e = if Queue.is_empty c.q then None else Some (Queue.pop c.q) in
-    Mutex.unlock c.q_mu;
-    e
+  (* Asked by the decoder when a response head is complete.  The reader
+     is the only one to pop [q], so the front entry is still the one
+     this response answers when [on_data] pops it. *)
+  let front_head_only q_mu q () =
+    Mutex.lock q_mu;
+    let e = Queue.peek_opt q in
+    Mutex.unlock q_mu;
+    match e with
+    | Some e -> e.e_head_only
+    | None -> parse_err 400 "response with no outstanding request"
 
   let fail_all c e =
     Mutex.lock c.q_mu;
@@ -1131,30 +1026,50 @@ module Client = struct
     Conn.close c.conn;
     fail_all c e
 
-  let demux c =
-    let rec loop () =
-      match read_head c.rb with
-      | None -> fail_conn c Net.Closed
-      | Some (status, reason, headers) -> (
-          match pop_entry c with
-          | None -> proto "response with no outstanding request"
-          | Some en ->
-              let body =
-                read_body c.rb ~head_only:en.e_head_only ~status headers
+  (* Runs wherever the reader delivers bytes: in the reactor pump in
+     fiber mode, so a reply resolves its call as soon as it is read. *)
+  let on_data c buf pos len =
+    let rec drain () =
+      match Parser.next_response c.parser with
+      | None -> ()
+      | Some (r : response) ->
+          Mutex.lock c.q_mu;
+          let en = Queue.take_opt c.q in
+          Mutex.unlock c.q_mu;
+          Option.iter
+            (fun en ->
+              let resp =
+                {
+                  status = r.status;
+                  reason = r.reason;
+                  headers = r.resp_headers;
+                  body = r.resp_body;
+                }
               in
-              (try
-                 Promise.fulfill en.e_promise (Ok { status; reason; headers; body })
-               with Invalid_argument _ -> ());
-              let close =
-                List.exists
-                  (fun (n, v) -> n = "connection" && list_has v "close")
-                  headers
-              in
-              if close then fail_conn c Net.Closed else loop ())
+              try Promise.fulfill en.e_promise (Ok resp) with Invalid_argument _ -> ())
+            en;
+          let close (n, v) = n = "connection" && list_has v "close" in
+          if List.exists close r.resp_headers then fail_conn c Net.Closed
+          else drain ()
     in
-    try loop () with
-    | Net.Closed | Net.Timeout | End_of_file -> fail_conn c Net.Closed
-    | e -> fail_conn c e
+    if not (Atomic.get c.closed) then begin
+      Parser.feed c.parser ~off:pos ~len buf;
+      drain ()
+    end
+
+  (* The reader stopped: [None] is end of stream.  EOF inside a response
+     means the server died with it owed, so pending calls fail with
+     Peer_closed; EOF between responses, or a silent connection past
+     [read_timeout], fails them with Closed. *)
+  let on_end c e =
+    let e =
+      match e with
+      | None -> if Parser.at_boundary c.parser then Net.Closed else Net.Peer_closed
+      | Some (Net.Closed | Net.Timeout | End_of_file) -> Net.Closed
+      | Some e -> e
+    in
+    fail_conn c e;
+    Promise.fulfill c.reader_done (Ok ())
 
   let connect (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       ?read_timeout ?write_timeout addr =
@@ -1166,19 +1081,22 @@ module Client = struct
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
     let conn = Conn.create rt ?read_timeout ?write_timeout fd in
+    let q_mu = Mutex.create () and q = Queue.create () in
     let c =
       {
         conn;
-        rb = make_rdbuf conn;
-        q_mu = Mutex.create ();
-        q = Queue.create ();
+        parser = Parser.responses ~head_only:(front_head_only q_mu q);
+        q_mu;
+        q;
         ob = Outbox.create ~await:(P.await pool) conn;
         closed = Atomic.make false;
-        await_demux = ignore;
+        reader_done = Promise.create ();
+        await = P.await pool;
       }
     in
-    let task = P.async pool (fun () -> demux c) in
-    c.await_demux <- (fun () -> P.await pool task);
+    Conn.start_reader conn
+      ~spawn:(fun f -> ignore (P.async pool f : unit Promise.t))
+      ~on_data:(on_data c) ~on_end:(on_end c);
     c
 
   let request_iov ?(headers = []) ?body ~meth ~target () =
@@ -1233,19 +1151,13 @@ module Client = struct
        raise e);
     p
 
+  (* As with Rpc.Client, [close] waits for the reader to stop, so never
+     call it from a waiter on a call's promise: in fiber mode that runs
+     in the reader's path. *)
   let close c =
     if Atomic.compare_and_set c.closed false true then begin
       Conn.close c.conn;
       fail_all c Net.Closed
     end;
-    c.await_demux ()
-
-  let call_sync conn ?headers ?body ~meth ~target () =
-    Conn.writev_all conn (request_iov ?headers ?body ~meth ~target ());
-    let rb = make_rdbuf conn in
-    match read_head rb with
-    | None -> raise Net.Closed
-    | Some (status, reason, headers) ->
-        let body = read_body rb ~head_only:(meth = "HEAD") ~status headers in
-        { status; reason; headers; body }
+    c.await c.reader_done
 end

@@ -9,7 +9,7 @@
 
     Three layers:
 
-    - {!Parser}: an incremental, allocation-conscious request parser —
+    - {!Parser}: the incremental, allocation-conscious HTTP/1.1 decoder —
       feed it arbitrary byte slices (any split boundary, byte-at-a-time
       if need be), pull complete requests out.  Bodies are framed by
       [Content-Length] or chunked transfer-encoding; malformed input
@@ -24,7 +24,8 @@
       {!Lhws_workloads.Topology} pins a compute route to the batch
       micropool while I/O routes stay on the latency pool.
     - {!Client}: a pipelined keep-alive client for the load generator
-      and tests, plus {!Client.call_sync} for blocking pools.
+      and tests, on fiber and blocking reactors alike.  It reads
+      responses through the same {!Parser} state machine.
 
     Overload and shutdown map onto status codes: a read deadline that
     expires {e mid-request} is answered with 408 before closing; a
@@ -72,7 +73,13 @@ val text : ?status:int -> string -> response
 
 val reason_phrase : int -> string
 
-(** {1 Incremental request parsing} *)
+(** {1 Incremental parsing}
+
+    One decoder reads both directions: this interface parses requests,
+    and {!Client} reads responses through the same buffer, head scan,
+    body framing, limits and trailer checks.  Only the start line and
+    the body rule differ (a response to HEAD, and a 1xx, 204 or 304
+    response, has no body). *)
 
 module Parser : sig
   type t
@@ -248,10 +255,14 @@ module Client : sig
     ?write_timeout:float ->
     Unix.sockaddr ->
     t
-  (** One keep-alive connection plus a demux task reading responses in
-      order.  Same pool restrictions as {!Rpc.Client.connect} (not the
-      helping-await WS pool; blocking pools should use {!call_sync}
-      over a connection per thread). *)
+  (** One keep-alive connection and its response reader
+      ({!Conn.start_reader}): in fiber mode the reactor pump decodes each
+      response and resolves its call where the bytes are read; on a
+      blocking reactor a reader pool task does.  Same pool restrictions
+      as {!Rpc.Client.connect} (not the helping-await WS pool).
+      [read_timeout] bounds each wait for the next response bytes: when
+      it passes with nothing read, the connection is closed and pending
+      calls fail with [Net.Closed]. *)
 
   val call :
     t ->
@@ -266,18 +277,9 @@ module Client : sig
       @raise Net.Closed once the connection is gone. *)
 
   val close : t -> unit
-
-  (** {2 Blocking round trip} *)
-
-  val call_sync :
-    Conn.t ->
-    ?headers:(string * string) list ->
-    ?body:Bytes.t ->
-    meth:string ->
-    target:string ->
-    unit ->
-    resp
-  (** One request, one response, on a caller-owned connection: the
-      blocking-baseline shape (the wait occupies the worker).
-      @raise Net.Closed / Net.Peer_closed / Net.Protocol_error. *)
+  (** Closes the connection; pending calls fail with [Net.Closed].
+      Returns once the reader has stopped, awaiting it through the
+      pool's [await].  In fiber mode a call's promise is fulfilled in
+      the reactor pump, so never call [close] from a waiter registered
+      on it; await the promise and close from the task instead. *)
 end

@@ -150,9 +150,9 @@ let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?co
 (* --- pipelined client --- *)
 
 (* Incremental response decoding: bytes go in as they arrive, in chunks
-   of any size, and each completed frame comes out through [frame].  One
-   decoder serves both read drivers — the reactor pump's reader in fiber
-   mode, a reader task's [Conn.read] loop on blocking reactors. *)
+   of any size, and each completed frame comes out through [frame], from
+   wherever {!Conn.start_reader} delivers them: the reactor pump in fiber
+   mode, a reader task on blocking reactors. *)
 module Decoder = struct
   type t = {
     hdr : Bytes.t;
@@ -265,20 +265,6 @@ module Client = struct
     fail_conn c e;
     Promise.fulfill c.reader_done (Ok ())
 
-  (* The blocking-reactor driver: a pool task that feeds the decoder
-     from [Conn.read] until the connection ends.  A read of at least
-     [Conn]'s buffer size goes straight into [buf]. *)
-  let read_loop c =
-    let buf = Bytes.create (16 * 1024) in
-    let rec loop () =
-      match Conn.read c.conn buf 0 (Bytes.length buf) with
-      | 0 -> ()
-      | n ->
-          on_data c buf 0 n;
-          loop ()
-    in
-    on_end c (match loop () with () -> None | exception e -> Some e)
-
   let connect (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       ?read_timeout ?write_timeout addr =
     let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
@@ -300,8 +286,9 @@ module Client = struct
         await = P.await pool;
       }
     in
-    if Reactor.is_fibers rt then Conn.start_reader conn ~on_data:(on_data c) ~on_end:(on_end c)
-    else ignore (P.async pool (fun () -> read_loop c) : unit Promise.t);
+    Conn.start_reader conn
+      ~spawn:(fun f -> ignore (P.async pool f : unit Promise.t))
+      ~on_data:(on_data c) ~on_end:(on_end c);
     c
 
   let call c payload =

@@ -51,15 +51,16 @@ val serve :
 (** {1 Pipelined client}
 
     Replies are decoded by one incremental frame decoder per client,
-    fed by one of two readers:
+    fed by the reader {!Conn.start_reader} runs (the read driver
+    {!Http.Client} shares):
 
     - On a fiber-mode reactor there is no reader task.  The connection
       keeps one persistent read intent ({!Conn.start_reader}); the
       reactor pump reads each reply as it arrives, decodes it and
       fulfils the call's promise right there, so the caller's resume is
       queued without a scheduling hop through a reader fiber.
-    - On a blocking reactor the reader is a pool task that loops
-      [Conn.read] into the decoder, so the pool's [async] must give it
+    - On a blocking reactor the reader is a pool task that loops a
+      kernel read into the decoder, so the pool's [async] must give it
       its own execution context: a dedicated thread (thread pool).
       {b Not} for the helping-await WS pool — helping would run the
       non-terminating read loop inside a caller's [await] and bury its

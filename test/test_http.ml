@@ -9,7 +9,12 @@
    Server side: keep-alive echo and routing over a real lhws pool,
    pipelined response ordering, 400-close on garbage, 408 on a
    mid-request stall, 503 on shed/drain, and the fd/io_pending hygiene
-   checks every net suite here pins. *)
+   checks every net suite here pins.
+
+   Client side: Http.Client against a raw-socket peer, on a fiber and a
+   blocking reactor, decoding every response framing whole and byte by
+   byte under a seeded fault plane, and resolving a reply while both
+   workers are busy. *)
 
 open Lhws_runtime
 module P = Lhws_workloads.Pool_intf
@@ -774,6 +779,289 @@ let test_http_load_counters () =
           Alcotest.(check int) "offered load accounted" 20 report.Load.total;
           Http.shutdown ~grace:2. srv))
 
+(* ------------------------------------------------------------------ *)
+(* Client: decoding responses from a raw-socket peer                   *)
+(* ------------------------------------------------------------------ *)
+
+let listening_socket () =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd loopback0;
+  Unix.listen fd 8;
+  fd
+
+(* Reads until [n] request heads have arrived: the client's requests
+   carry no body, so each ends at its blank line. *)
+let read_heads fd n =
+  let b = Buffer.create 256 in
+  let chunk = Bytes.create 4096 in
+  let count () =
+    let s = Buffer.contents b in
+    let rec go i k =
+      match Astring.String.find_sub ~start:i ~sub:"\r\n\r\n" s with
+      | Some j -> go (j + 4) (k + 1)
+      | None -> k
+    in
+    go 0 0
+  in
+  while count () < n do
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> failwith "client hung up before sending its requests"
+    | k -> Buffer.add_subbytes b chunk 0 k
+  done
+
+(* [piece] bytes per write; 1 is byte by byte. *)
+let write_pieces fd s ~piece =
+  let n = String.length s in
+  let rec go off =
+    if off < n then begin
+      let k = Unix.write_substring fd s off (min piece (n - off)) in
+      go (off + k)
+    end
+  in
+  try go 0 with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
+let render_outcome = function
+  | Ok (r : Http.Client.resp) ->
+      Printf.sprintf "%d %s cl=%s %S" r.status r.reason
+        (Option.value (List.assoc_opt "content-length" r.headers) ~default:"-")
+        (Bytes.to_string r.body)
+  | Error Net.Closed -> "Closed"
+  | Error Net.Peer_closed -> "Peer_closed"
+  | Error (Net.Protocol_error _) -> "Protocol_error"
+  | Error e -> Printexc.to_string e
+
+(* (name, request methods, what the peer sends before hanging up, the
+   outcome of each call).  Every response answers a request already on
+   the wire. *)
+let client_cases =
+  let big_head = "HTTP/1.1 200 OK\r\nX-Big: " ^ String.make (70 * 1024) 'a' in
+  [
+    ( "content-length",
+      [ "GET" ],
+      "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+      [ "200 OK cl=5 \"hello\"" ] );
+    ( "chunked with extension and trailer",
+      [ "GET" ],
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      ^ "4;ext=1\r\nWiki\r\n5\r\npedia\r\n0\r\nX-Trailer: t\r\n\r\n",
+      [ "200 OK cl=- \"Wikipedia\"" ] );
+    ( "HEAD with content-length, then pipelined GET",
+      [ "HEAD"; "GET" ],
+      "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n"
+      ^ "HTTP/1.1 201 Created\r\nContent-Length: 3\r\n\r\nabc",
+      [ "200 OK cl=5 \"\""; "201 Created cl=3 \"abc\"" ] );
+    ( "204 and 304 carry no body",
+      [ "GET"; "GET"; "GET" ],
+      "HTTP/1.1 204 No Content\r\n\r\n"
+      ^ "HTTP/1.1 304 Not Modified\r\nContent-Length: 7\r\n\r\n"
+      ^ "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+      [ "204 No Content cl=- \"\""; "304 Not Modified cl=7 \"\""; "200 OK cl=2 \"ok\"" ] );
+    ( "Connection: close",
+      [ "GET"; "GET" ],
+      "HTTP/1.1 200 OK\r\nContent-Length: 3\r\nConnection: close\r\n\r\nbye",
+      [ "200 OK cl=3 \"bye\""; "Closed" ] );
+    ( "EOF at a message boundary",
+      [ "GET"; "GET" ],
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+      [ "200 OK cl=2 \"ok\""; "Closed" ] );
+    ( "EOF mid-body",
+      [ "GET" ],
+      "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+      [ "Peer_closed" ] );
+    ("EOF mid-head", [ "GET" ], "HTTP/1.1 200 OK\r\nContent-Le", [ "Peer_closed" ]);
+    ("oversized head", [ "GET" ], big_head, [ "Protocol_error" ]);
+    ( "bad chunk size",
+      [ "GET" ],
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nhello\r\n0\r\n\r\n",
+      [ "Protocol_error" ] );
+    ( "malformed trailer line",
+      [ "GET" ],
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      ^ "2\r\nok\r\n0\r\nno colon here\r\n\r\n",
+      [ "Protocol_error" ] );
+  ]
+
+(* Runs every case, whole and byte by byte, against one pool and
+   reactor, and checks them all in one table so a failure shows every
+   case that differs.  The oversized head goes out in 1 KiB pieces
+   rather than bytes: 70 K one-byte writes would time the peer, not the
+   decoder. *)
+let run_client_cases (type p) (module Pl : P.POOL with type t = p) (p : p) rt ~label =
+  let failure g = List.mem g [ "Closed"; "Peer_closed"; "Protocol_error" ] in
+  let rows =
+    List.concat_map
+      (fun bytewise ->
+        List.map
+          (fun (name, meths, script, expect) ->
+            let lfd = listening_socket () in
+            let piece =
+              if not bytewise then max_int
+              else if String.length script > 4096 then 1024
+              else 1
+            in
+            let peer =
+              Domain.spawn (fun () ->
+                  let fd, _ = Unix.accept ~cloexec:true lfd in
+                  Fun.protect
+                    ~finally:(fun () -> Unix.close fd)
+                    (fun () ->
+                      read_heads fd (List.length meths);
+                      write_pieces fd script ~piece))
+            in
+            (* Once a call has failed the client is closed, and a new
+               call is refused at once. *)
+            let fails = List.exists failure expect in
+            let got =
+              Pl.run p (fun () ->
+                  let c = Http.Client.connect (module Pl) p rt (Unix.getsockname lfd) in
+                  let prs =
+                    List.map (fun meth -> Http.Client.call c ~meth ~target:"/" ()) meths
+                  in
+                  (* A call its reader drops would hang [await]: wait a
+                     bounded time so the case fails instead. *)
+                  let outcome pr =
+                    let rec wait i =
+                      if (not (Promise.is_resolved pr)) && i < 1000 then begin
+                        Pl.sleep p 0.005;
+                        wait (i + 1)
+                      end
+                    in
+                    wait 0;
+                    match Promise.poll pr with
+                    | Some r -> render_outcome r
+                    | None -> "unresolved after 5 s"
+                  in
+                  let got = List.map outcome prs in
+                  let late =
+                    if not fails then []
+                    else
+                      match Http.Client.call c ~meth:"GET" ~target:"/" () with
+                      | _ -> [ "later call accepted" ]
+                      | exception e -> [ "later call " ^ render_outcome (Error e) ]
+                  in
+                  Http.Client.close c;
+                  got @ late)
+            in
+            Domain.join peer;
+            Unix.close lfd;
+            let row outcomes =
+              Printf.sprintf "%s, %s: %s" name
+                (if bytewise then "bytewise" else "whole")
+                (String.concat " | " outcomes)
+            in
+            (row (expect @ if fails then [ "later call Closed" ] else []), row got))
+          client_cases)
+      [ false; true ]
+  in
+  Alcotest.(check (list string)) label (List.map fst rows) (List.map snd rows)
+
+(* The client's reactor draws from a fault plane, so short reads split
+   responses at arbitrary bytes and injected delays postpone reads.
+   Seeded through CHAOS_SEED. *)
+let client_fault () =
+  let seed =
+    match Sys.getenv_opt "CHAOS_SEED" with Some s -> int_of_string s | None -> 0xc11e
+  in
+  ( seed,
+    Fault.create
+      {
+        (Fault.storm ~seed ~rate:0.0 ()) with
+        Fault.p_short = 0.3;
+        p_eagain = 0.05;
+        p_delay = 0.05;
+        delay_s = 0.001;
+      } )
+
+let test_client_decoding_lhws () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  let seed, fault = client_fault () in
+  with_lhws_net ~workers:2 ~fault (fun p rt ->
+      run_client_cases (module P.Lhws_instance) p rt
+        ~label:(Printf.sprintf "lhws fibers (seed %#x)" seed);
+      Alcotest.(check int) "io_pending gauge drained" 0
+        (P.Lhws_instance.stats p).Scheduler_core.io_pending);
+  let inj = Fault.injected fault in
+  Alcotest.(check bool)
+    (Printf.sprintf "short reads and delays injected (%d, %d)" inj.shorts inj.delays)
+    true
+    (inj.shorts > 0 && inj.delays > 0);
+  Alcotest.(check int) "no descriptor leaked" before (count_fds ())
+
+let test_client_decoding_threads () =
+  let seed, fault = client_fault () in
+  let module Pt = P.Threaded_instance in
+  let tp = Pt.create () in
+  Fun.protect
+    ~finally:(fun () -> Pt.shutdown tp)
+    (fun () ->
+      run_client_cases (module Pt) tp (Reactor.blocking ~fault ())
+        ~label:(Printf.sprintf "threads blocking (seed %#x)" seed));
+  let inj = Fault.injected fault in
+  Alcotest.(check bool)
+    (Printf.sprintf "short reads and delays injected (%d, %d)" inj.shorts inj.delays)
+    true
+    (inj.shorts > 0 && inj.delays > 0)
+
+(* --- an HTTP reply resolves its call where its readiness is seen ---
+
+   The HTTP twin of test_net's Rpc case: both workers run chains of
+   short tasks for 50 ms, each spawning its successor before it spins,
+   so neither active deque runs dry.  The chains start on fresh deques
+   while the pool is idle, so a fiber reading replies would sit on a
+   deque that is ready but not active until a chain ends.  The reply
+   must resolve within a few ms of leaving the peer anyway. *)
+
+let test_client_reply_resolves_while_busy () =
+  let now = Unix.gettimeofday in
+  let lfd = listening_socket () in
+  let sent_at = Atomic.make 0. in
+  let chain_until = Atomic.make infinity in
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let rec chain () =
+        if now () < Atomic.get chain_until then begin
+          ignore (Pl.async p chain : unit Promise.t);
+          let t = now () +. 0.0002 in
+          while now () < t do
+            Domain.cpu_relax ()
+          done
+        end
+      in
+      let peer =
+        Domain.spawn (fun () ->
+            let fd, _ = Unix.accept ~cloexec:true lfd in
+            read_heads fd 1;
+            Unix.sleepf 0.005;  (* the caller sleeps; the pool is idle *)
+            Atomic.set chain_until (now () +. 0.05);
+            Lhws_pool.submit p chain;
+            Lhws_pool.submit p chain;
+            Unix.sleepf 0.005;
+            write_pieces fd "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok" ~piece:max_int;
+            Atomic.set sent_at (now ());
+            (try ignore (Unix.read fd (Bytes.create 1) 0 1 : int) with Unix.Unix_error _ -> ());
+            Unix.close fd)
+      in
+      let body, resolved =
+        Pl.run p (fun () ->
+            let c = Http.Client.connect (module Pl) p rt (Unix.getsockname lfd) in
+            let pr = Http.Client.call c ~meth:"GET" ~target:"/" () in
+            let resolved = Atomic.make 0. in
+            if not (Promise.add_waiter pr (fun () -> Atomic.set resolved (now ()))) then
+              Atomic.set resolved (now ());
+            Pl.sleep p 0.1;
+            let body = Bytes.to_string (Pl.await p pr).Http.Client.body in
+            Http.Client.close c;
+            (body, Atomic.get resolved))
+      in
+      Domain.join peer;
+      Unix.close lfd;
+      let lag = resolved -. Atomic.get sent_at in
+      Alcotest.(check string) "reply" "ok" body;
+      Alcotest.(check bool)
+        (Printf.sprintf "resolved %.2f ms after the send, workers busy" (lag *. 1e3))
+        true (lag < 0.005))
+
 let () =
   Alcotest.run "http"
     [
@@ -803,5 +1091,13 @@ let () =
             test_http_queued_responses_do_not_poll;
           Alcotest.test_case "max_pipeline bounds handlers" `Quick
             test_http_max_pipeline_bounds_handlers;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "decoding on lhws fibers" `Quick test_client_decoding_lhws;
+          Alcotest.test_case "decoding on threads blocking" `Quick
+            test_client_decoding_threads;
+          Alcotest.test_case "Http reply resolves while its home worker stays busy" `Quick
+            test_client_reply_resolves_while_busy;
         ] );
     ]

@@ -29,6 +29,8 @@ type t = {
      stale operation would target the wrong descriptor. *)
   ops : int Atomic.t;
   fd_closed : bool Atomic.t;  (* [Unix.close] runs at most once *)
+  mutable resume : unit -> unit;  (* [resume_reader], set by [start_reader] *)
+  mutable end_held : unit -> unit;  (* ends a held reader; run by [close] *)
 }
 
 let buf_capacity = 16 * 1024
@@ -55,6 +57,8 @@ let create rt ?read_timeout ?write_timeout fd =
     closed = Atomic.make false;
     ops = Atomic.make 1;
     fd_closed = Atomic.make false;
+    resume = ignore;
+    end_held = ignore;
   }
 
 let fd t = t.fd
@@ -96,6 +100,8 @@ let close t =
     (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error ((Unix.ENOTCONN | Unix.ENOTSOCK | Unix.EBADF | Unix.EINVAL), _, _) ->
        ());
+    (* A held reader has no read to wake; end it so its pin goes. *)
+    t.end_held ();
     release t
   end
 
@@ -201,8 +207,8 @@ let read_exactly t buf len =
    the reactor pump whenever the descriptor turns readable: one kernel
    read into [rbuf], the bytes handed to [on_data] right there, and
    [`Again], so {!Io} re-arms the intent without waking anything.  A
-   reply therefore completes where the readiness is observed, not in a
-   fiber that first has to be scheduled.
+   reply or a request therefore completes where the readiness is
+   observed, not in a fiber that first has to be scheduled.
 
    It keeps every contract of {!read}:
    - the fd is pinned ([enter]) for the whole registration and released
@@ -219,11 +225,21 @@ let read_exactly t buf len =
    - EOF, a reset peer and a closed handle end the reader like [read]'s
      0 and [Net.Closed].
 
+   The hold: [on_data] raising [Hold] ends the current intent like a
+   delay does, but nothing re-arms it until [resume_reader].  A resume
+   that lands before the pump has recorded the hold sets [wake], and the
+   hold re-arms at once.  A held reader still pins the fd and is not
+   waiting on the peer, so its deadline restarts on every watch and at
+   the resume; [close] ends it.
+
    [r_mu] serializes only the rare transitions (delay re-submission,
-   deadline, end) between the pump and timer callbacks, which may run on
-   different workers; the per-chunk path takes no lock.  Lock order is
-   [r_mu] before the reactor's own mutex (through {!Io.cancel}); {!Io}
-   calls [run] and completion callbacks without holding it. *)
+   hold, deadline, end) between the pump, timer callbacks and resuming
+   tasks, which may run on different workers; the per-chunk path takes
+   no lock.  Lock order is [r_mu] before the reactor's own mutex
+   (through {!Io.cancel}); {!Io} calls [run] and completion callbacks
+   without holding it. *)
+
+exception Hold
 
 type reader = {
   conn : t;
@@ -233,11 +249,13 @@ type reader = {
   on_end : exn option -> unit;
   r_owed : Fault.verdict option ref;
   r_mu : Mutex.t;
-  mutable current : Lhws_runtime.Io.intent option;  (* [None] while a delay holds it *)
+  mutable current : Lhws_runtime.Io.intent option;  (* [None] while a delay or a hold has it *)
   mutable deadline_passed : bool;
   mutable ended : bool;
   mutable th : Lhws_runtime.Timer.handle option;  (* the read_timeout watch *)
   mutable last_chunk : float;
+  mutable held : bool;
+  mutable wake : bool;  (* a resume overtook the hold it answers *)
 }
 
 let reader_end r e =
@@ -288,6 +306,14 @@ and reader_done r outcome =
   match outcome with
   | Lhws_runtime.Io.Complete -> reader_end r None
   | Lhws_runtime.Io.Cancelled -> reader_end r (Some Net.Timeout)
+  | Lhws_runtime.Io.Error Hold ->
+      Mutex.lock r.r_mu;
+      r.current <- None;
+      let wake = r.wake in
+      r.wake <- false;
+      r.held <- not wake;
+      Mutex.unlock r.r_mu;
+      if wake then reader_arm r
   | Lhws_runtime.Io.Error (Injected_delay d) ->
       Mutex.lock r.r_mu;
       r.current <- None;
@@ -300,6 +326,24 @@ and reader_done r outcome =
     ->
       reader_end r (Some Net.Closed)
   | Lhws_runtime.Io.Error e -> reader_end r (Some e)
+
+let reader_resume r () =
+  Mutex.lock r.r_mu;
+  let held = r.held in
+  r.held <- false;
+  r.wake <- not held;
+  r.last_chunk <- Unix.gettimeofday ();
+  Mutex.unlock r.r_mu;
+  if held then reader_arm r
+
+(* Claims the hold under [r_mu], so a racing resume cannot re-arm an
+   intent on a descriptor whose pin is about to go. *)
+let reader_end_held r () =
+  Mutex.lock r.r_mu;
+  let held = r.held in
+  r.held <- false;
+  Mutex.unlock r.r_mu;
+  if held then reader_end r (Some Net.Closed)
 
 (* The deadline watch.  Once it passes, [deadline_passed] stays set, so
    whichever way the current intent ends — claimed here, [Cancelled] by
@@ -314,7 +358,8 @@ let rec reader_watch r timeout =
 and reader_deadline r timeout =
   Mutex.lock r.r_mu;
   if r.ended then Mutex.unlock r.r_mu
-  else if Unix.gettimeofday () < r.last_chunk +. timeout then begin
+  else if r.held || Unix.gettimeofday () < r.last_chunk +. timeout then begin
+    if r.held then r.last_chunk <- Unix.gettimeofday ();
     reader_watch r timeout;
     Mutex.unlock r.r_mu
   end
@@ -329,21 +374,27 @@ and reader_deadline r timeout =
   end
 
 (* On a blocking reactor there is no pump: a task loops [read_once]
-   into the same buffer and ends the same way. *)
+   into the same buffer and ends the same way.  A hold ends the task,
+   and the resume starts a fresh one through [spawn]: the old task
+   touches nothing after [on_data] raised, so the two never overlap,
+   and a held reader pins nothing. *)
 let read_task t ~on_data ~on_end () =
   let rec loop () =
     match read_once t t.rbuf 0 buf_capacity with
-    | 0 -> None
-    | n ->
-        on_data t.rbuf 0 n;
-        loop ()
+    | 0 -> Some None
+    | n -> ( match on_data t.rbuf 0 n with () -> loop () | exception Hold -> None)
   in
-  on_end (match loop () with r -> r | exception e -> Some e)
+  match loop () with
+  | Some e -> on_end e
+  | None -> ()
+  | exception e -> on_end (Some e)
 
 let start_reader t ~spawn ~on_data ~on_end =
   if t.rpos < t.rlen then invalid_arg "Conn.start_reader: bytes already buffered";
   match Reactor.fiber_io t.rt with
-  | None -> spawn (read_task t ~on_data ~on_end)
+  | None ->
+      t.resume <- (fun () -> spawn (read_task t ~on_data ~on_end));
+      t.resume ()
   | Some (io, timer) ->
       enter t;
       let r =
@@ -360,8 +411,12 @@ let start_reader t ~spawn ~on_data ~on_end =
           ended = false;
           th = None;
           last_chunk = Unix.gettimeofday ();
+          held = false;
+          wake = false;
         }
       in
+      t.resume <- reader_resume r;
+      t.end_held <- reader_end_held r;
       Option.iter
         (fun s ->
           Mutex.lock r.r_mu;
@@ -369,6 +424,8 @@ let start_reader t ~spawn ~on_data ~on_end =
           Mutex.unlock r.r_mu)
         t.read_timeout;
       reader_arm r
+
+let resume_reader t = t.resume ()
 
 (* The shared engine under [write_all] / [writev_all]: drive the vector
    through the kernel until empty.  One logical operation draws one fault

@@ -25,6 +25,9 @@ val read : t -> bytes -> int -> int -> int
 val read_exactly : t -> bytes -> int -> unit
 (** Fills the buffer's first [len] bytes. @raise End_of_file at EOF. *)
 
+exception Hold
+(** Raised by a reader's [on_data] to hold it; see {!start_reader}. *)
+
 val start_reader :
   t ->
   spawn:((unit -> unit) -> unit) ->
@@ -36,7 +39,7 @@ val start_reader :
     [on_data] must copy what it keeps, and nothing else may {!read} the
     connection once the reader has started.  Start it before anything
     has read from the connection.  This is the one read driver of the
-    pipelined clients.
+    pipelined clients and of the {!Rpc} and {!Http} servers.
 
     In fiber mode the reader lives in the reactor pump.  One persistent
     intent is registered; each time the descriptor turns readable the
@@ -48,17 +51,36 @@ val start_reader :
     On a blocking reactor, [spawn] runs a task (the pool's [async]) that
     loops {!read}'s kernel read into the same buffer.
 
+    {b The hold.}  When [on_data] raises {!Hold}, the reader stops
+    reading after that chunk without ending: no read is pending until
+    {!resume_reader}.  A server holds its reader while its handler count
+    is at its pipeline limit, so the peer's further bytes wait in the
+    kernel and backpressure reaches it through TCP.  The resume may run
+    on any thread, even before the hold has been recorded; each {!Hold}
+    must be answered by exactly one resume.  A held reader is not
+    waiting on the peer, so [read_timeout] does not run while it is
+    held and restarts at the resume.  In fiber mode a held reader keeps
+    its pin on the descriptor, and {!close} ends it with
+    [Some Net.Closed]; on a blocking reactor a held reader has no task
+    and pins nothing, and the resume starts a fresh one through
+    [spawn].
+
     [on_end] runs exactly once, when the reader stops: [None] at end of
     file (a reset peer reads as EOF, as with {!read}), [Some Net.Timeout]
     when [read_timeout] passes with no chunk arriving, [Some Net.Closed]
     on a connection closed by {!close}, and [Some e] when the read or
-    [on_data] raised [e].  In fiber mode both callbacks run in the pump
-    (or, for a deadline, a timer callback): they must not block or
-    suspend.  {!close} ends the reader: the shutdown makes the
+    [on_data] raised [e] (other than {!Hold}).  In fiber mode both
+    callbacks run in the pump (or, for a deadline, a timer callback;
+    for a held reader ended by {!close}, the closer): they must not
+    block or suspend.  {!close} ends the reader: the shutdown makes the
     descriptor read EOF.
     @raise Net.Closed in fiber mode if the connection is already closed.
     @raise Invalid_argument when an earlier {!read} left bytes in the
     connection's buffer. *)
+
+val resume_reader : t -> unit
+(** Answers one {!Hold}: the reader reads again.  A no-op on a
+    connection whose reader never started. *)
 
 val write_all : t -> bytes -> unit
 (** Writes the whole buffer.
@@ -76,7 +98,8 @@ val writev_all : t -> Bytes.t list -> unit
 
 val close : t -> unit
 (** Idempotent and thread-safe.  Shuts the socket down immediately,
-    waking any reader currently blocked or parked on the descriptor; the
+    waking any reader currently blocked or parked on the descriptor and
+    ending a held one ({!start_reader}); the
     descriptor itself is closed only once in-flight operations drain
     (each read/write pins it), so a racing operation can never land on a
     recycled fd number. *)

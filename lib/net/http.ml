@@ -672,10 +672,10 @@ type age_gauge = {
   mutable ag_next : int;
   ag_born : float Atomic.t;
       (* admit time of the oldest pending entry as of the last refresh
-         (infinity = empty).  A snapshot for the hot admission path:
-         ages derived from it keep growing in real time without taking
-         [ag_mu], and it is at most [gauge_refresh_s] behind on {e
-         which} entry is oldest. *)
+         or completion (infinity = empty).  A snapshot for the hot
+         admission path: ages derived from it keep growing in real time
+         without taking [ag_mu].  Completions publish it at once; it is
+         at most [gauge_refresh_s] behind on admissions. *)
   ag_born_at : float Atomic.t;  (* when [ag_born] was last refreshed *)
 }
 
@@ -707,12 +707,16 @@ let gauge_admit g =
   Mutex.unlock g.ag_mu;
   id
 
+let born_of = function None -> infinity | Some (_, t) -> t
+
 let gauge_finish g id =
   Mutex.lock g.ag_mu;
   Hashtbl.replace g.ag_done id ();
   (* Drain here, not only on read: a server that never consults the
-     gauge must not accumulate one queue entry per request forever. *)
-  ignore (gauge_front_locked g : (int * float) option);
+     gauge must not accumulate one queue entry per request forever.
+     Publishing the new front keeps the admission snapshot from
+     outliving a completion by up to [gauge_refresh_s]. *)
+  Atomic.set g.ag_born (born_of (gauge_front_locked g));
   Mutex.unlock g.ag_mu
 
 let gauge_oldest_age g =
@@ -726,9 +730,10 @@ let gauge_oldest_age g =
    exists to detect — they read a lock-free snapshot refreshed at most
    every [gauge_refresh_s] instead of contending on [ag_mu].  The
    snapshot stores the oldest entry's admit time, so the derived age
-   stays exact in real time; only the identity of the oldest entry can
-   lag, by at most one refresh interval — noise against queue-age
-   budgets measured in tens of milliseconds. *)
+   stays exact in real time.  Completions publish the new front
+   themselves; only an admission to an empty gauge can go unseen, for
+   at most one refresh interval — noise against queue-age budgets
+   measured in tens of milliseconds. *)
 let gauge_refresh_s = 0.002
 
 let gauge_oldest_age_fast g =
@@ -737,12 +742,12 @@ let gauge_oldest_age_fast g =
   let born =
     if now -. at <= gauge_refresh_s then Atomic.get g.ag_born
     else if Atomic.compare_and_set g.ag_born_at at now then begin
-      (* Elected refresher: recompute under the mutex, publish. *)
+      (* Elected refresher: recompute and publish under the mutex, so
+         a stale front cannot overwrite one [gauge_finish] published. *)
       Mutex.lock g.ag_mu;
-      let f = gauge_front_locked g in
-      Mutex.unlock g.ag_mu;
-      let b = match f with None -> infinity | Some (_, t) -> t in
+      let b = born_of (gauge_front_locked g) in
       Atomic.set g.ag_born b;
+      Mutex.unlock g.ag_mu;
       b
     end
     else Atomic.get g.ag_born  (* a racing refresher won; use its value *)
@@ -793,37 +798,38 @@ let shed_503 s = Atomic.get s.s_shed
 let draining s = Atomic.get s.s_draining
 let oldest_pending_age s = gauge_oldest_age s.s_gauge
 
-(* One connection's serve loop: decode requests with the incremental
-   parser, hand each to the pool through its dispatcher, and sequence
-   responses through the {!Outbox}.  The loop itself runs as the
-   listener's per-connection task on the serving pool; handlers go
-   wherever [route] says (default dispatcher, or a route's own — the
-   topology pinning seam). *)
+(* One connection: {!Session} runs the parser where the bytes are read
+   and hands each request to the pool through its dispatcher (the
+   default, or a route's own — the topology pinning seam); responses
+   are sequenced through the {!Outbox} in request order.  Replies the
+   decoder decides itself (503 drain, shed and brownout, a parse
+   error's status, 408) are written by a spawned task too, so the pump
+   never waits on the outbox. *)
 let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~cfg
-    ~st ~default_dispatch ~route conn =
+    ~st ?dispatch ~route conn =
   let parser =
     Parser.create ~max_header_bytes:cfg.max_header_bytes
       ~max_body_bytes:cfg.max_body_bytes ()
   in
   let ob = Outbox.create ~await:(P.await pool) conn in
-  let outstanding = Outbox.Counter.create () in
-  let wait_until = Outbox.Counter.wait outstanding ~await:(P.await pool) in
-  let stop = ref false in
-  let chunk = Bytes.create 8192 in
   let submit ~seq ~head_only ~keep_alive resp =
     let iov = serialize ~head_only ~keep_alive resp in
     (try Outbox.send_at ob ~seq ~close_after:(not keep_alive) iov
      with Net.Closed | Net.Timeout | Unix.Unix_error _ -> Conn.close conn);
     Atomic.incr st.s_served
   in
-  let handle (req : request) =
+  let reply s ?(head_only = false) ~keep_alive resp =
     let seq = Outbox.reserve ob in
+    Session.spawn s (fun () -> submit ~seq ~head_only ~keep_alive resp)
+  in
+  let continue_if keep_alive = if keep_alive then `Next else `Stop in
+  let handle s (req : request) =
     let head_only = req.meth = "HEAD" in
     if Atomic.get st.s_draining then begin
       (* Drain: answer, announce the close, stop decoding. *)
       Atomic.incr st.s_shed;
-      submit ~seq ~head_only ~keep_alive:false (text ~status:503 "draining\n");
-      stop := true
+      reply s ~head_only ~keep_alive:false (text ~status:503 "draining\n");
+      `Stop
     end
     else if
       (match cfg.shed_above with
@@ -839,78 +845,62 @@ let serve_conn (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) ~
       | Some age -> gauge_oldest_age_fast st.s_gauge > age
       | None -> false
     then begin
-      (* Overload shed: reject fast without spending a pool task, but
+      (* Overload shed: reject fast without running the handler, but
          keep the connection — the peer may retry after backing off. *)
       Atomic.incr st.s_shed;
-      submit ~seq ~head_only ~keep_alive:req.keep_alive
+      reply s ~head_only ~keep_alive:req.keep_alive
         (response ~status:503
            ~headers:[ ("retry-after", "1"); ("content-type", "text/plain") ]
            (Bytes.of_string "overloaded\n"));
-      if not req.keep_alive then stop := true
+      continue_if req.keep_alive
     end
     else begin
       let dispatch_override, thunk = route req in
       let dispatch =
-        match dispatch_override with Some d -> d | None -> default_dispatch
+        if Option.is_some dispatch_override then dispatch_override else dispatch
       in
+      let seq = Outbox.reserve ob in
       let gid = gauge_admit st.s_gauge in
-      Outbox.Counter.incr outstanding;
       Atomic.incr st.s_inflight;
-      dispatch (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              gauge_finish st.s_gauge gid;
-              Outbox.Counter.decr outstanding;
-              Atomic.decr st.s_inflight)
-            (fun () ->
-              let resp =
-                match thunk () with
-                | r -> r
-                | exception e -> text ~status:500 (Printexc.to_string e ^ "\n")
-              in
-              submit ~seq ~head_only ~keep_alive:req.keep_alive resp));
-      if not req.keep_alive then stop := true
+      Session.spawn s ?dispatch (fun () ->
+          let resp =
+            match thunk () with
+            | r -> r
+            | exception e -> text ~status:500 (Printexc.to_string e ^ "\n")
+          in
+          (* The request leaves the admission gauges once its handler
+             has returned, before the reply is written: a peer that
+             reads the reply and sends at once must not find it still
+             the oldest pending request. *)
+          gauge_finish st.s_gauge gid;
+          Atomic.decr st.s_inflight;
+          submit ~seq ~head_only ~keep_alive:req.keep_alive resp);
+      continue_if req.keep_alive
     end
   in
-  let step () =
-    (* The limit bounds dispatched handlers, not reads: a request is
-       taken out of the parser only below it, and the bytes of later
-       ones wait there. *)
-    wait_until (fun n -> n < cfg.max_pipeline);
+  let step s =
     match Parser.next parser with
-    | Parser.Request req -> handle req
+    | Parser.Request req -> handle s req
+    | Parser.Need_more -> `Need
     | Parser.Failed err ->
         (* Poisoned stream: answer with the parse error's status and
            close — never leave the peer hanging, never keep reading. *)
-        let seq = Outbox.reserve ob in
-        submit ~seq ~head_only:false ~keep_alive:false
-          (text ~status:err.Parser.status (err.Parser.reason ^ "\n"));
-        stop := true
-    | Parser.Need_more -> (
-        match Conn.read conn chunk 0 (Bytes.length chunk) with
-        | 0 -> stop := true  (* EOF; a partial request has no one to answer *)
-        | n -> Parser.feed parser ~len:n chunk
-        | exception Net.Timeout ->
-            if Parser.at_boundary parser then
-              (* Idle keep-alive connection: close silently. *)
-              stop := true
-            else begin
-              (* The peer stalled mid-request: tell it before closing. *)
-              let seq = Outbox.reserve ob in
-              submit ~seq ~head_only:false ~keep_alive:false
-                (text ~status:408 "request timeout\n");
-              stop := true
-            end)
+        reply s ~keep_alive:false (text ~status:err.Parser.status (err.Parser.reason ^ "\n"));
+        `Stop
   in
-  (try
-     while not !stop do
-       step ()
-     done
-   with Net.Closed | Net.Timeout | Net.Peer_closed | End_of_file -> ());
-  (* The listener closes the conn the moment we return; in-flight
-     handlers still owe responses — wait them out (each one's [submit]
-     resolves even on failure, so this terminates). *)
-  wait_until (fun n -> n = 0)
+  (* EOF with a partial request has no one to answer, and an idle
+     keep-alive connection timing out is closed silently; a peer that
+     stalled mid-request is told before the close. *)
+  let ended s = function
+    | Some Net.Timeout when not (Parser.at_boundary parser) ->
+        reply s ~keep_alive:false (text ~status:408 "request timeout\n")
+    | _ -> ()
+  in
+  Session.serve
+    (module P)
+    pool conn ~max_pipeline:cfg.max_pipeline
+    ~feed:(fun buf pos len -> Parser.feed parser ~off:pos ~len buf)
+    ~step ~ended
 
 let serve_gen (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
     ?(config = default_config) ?dispatch addr ~route =
@@ -923,11 +913,6 @@ let serve_gen (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       s_shed = Atomic.make 0;
       s_gauge = make_gauge ();
     }
-  in
-  let default_dispatch =
-    match dispatch with
-    | Some d -> d
-    | None -> fun f -> ignore (P.async pool f : unit Promise.t)
   in
   (* With a queue-age budget, admission control reaches all the way to
      the acceptor: while the oldest pending request is over age, new
@@ -950,7 +935,7 @@ let serve_gen (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt
       (module P)
       pool rt ~config:lcfg addr
       ~handler:(fun conn ->
-        serve_conn (module P) pool ~cfg:config ~st ~default_dispatch ~route conn)
+        serve_conn (module P) pool ~cfg:config ~st ?dispatch ~route conn)
   in
   st.lst <- Some l;
   st

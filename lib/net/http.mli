@@ -15,17 +15,23 @@
       [Content-Length] or chunked transfer-encoding; malformed input
       yields a typed error carrying the status to answer with (400 /
       413 / 431 / 501 / 505) instead of an exception or a hang.
-    - {!serve} / {!Router}: each parsed request is dispatched as a pool
-      task; responses are serialized {e in request order} through a
-      per-connection {!Outbox} that coalesces whatever is ready into
-      one vectored write, so pipelined clients get correct ordering and
-      the server pays ~one gathering syscall for a burst of responses.
-      Routes can carry their own dispatcher, which is how a
-      {!Lhws_workloads.Topology} pins a compute route to the batch
-      micropool while I/O routes stay on the latency pool.
+    - {!serve} / {!Router}: each connection is read by
+      {!Conn.start_reader} (through {!Session}), so in fiber mode the
+      reactor pump feeds each chunk to the {!Parser} and dispatches
+      every complete request as a pool task where its bytes arrived —
+      no reader fiber is resumed per request.  Responses are serialized
+      {e in request order} through a per-connection {!Outbox} that
+      coalesces whatever is ready into one vectored write, so pipelined
+      clients get correct ordering and the server pays ~one gathering
+      syscall for a burst of responses.  Routes can carry their own
+      dispatcher, which is how a {!Lhws_workloads.Topology} pins a
+      compute route to the batch micropool while I/O routes stay on the
+      latency pool.  A blocking reactor runs the same path, with the
+      connection task reading in place of the pump.
     - {!Client}: a pipelined keep-alive client for the load generator
       and tests, on fiber and blocking reactors alike.  It reads
-      responses through the same {!Parser} state machine.
+      responses through the same {!Parser} state machine and the same
+      read driver.
 
     Overload and shutdown map onto status codes: a read deadline that
     expires {e mid-request} is answered with 408 before closing; a
@@ -160,9 +166,10 @@ type config = {
   max_header_bytes : int;
   max_body_bytes : int;
   max_pipeline : int;
-      (** per-connection cap on dispatched-but-unanswered requests; at
-          it no request leaves the parser and the connection is not
-          read, so backpressure reaches the peer through TCP *)
+      (** per-connection cap on dispatched-but-unanswered requests
+          (replies the server decides itself, such as a 503, count
+          too); at it no request leaves the parser and the reader is
+          held, so backpressure reaches the peer through TCP *)
   shed_above : int option;
       (** server-wide in-flight request high-water mark: at/above it
           new requests are answered 503 without dispatching *)
@@ -194,10 +201,13 @@ val serve :
   Unix.sockaddr ->
   handler:(request -> response) ->
   server
-(** Binds, listens, serves.  Every parsed request runs as a pool task
-    through [dispatch] (default: [P.async] on the serving pool); the
-    decode loop stays on the serving pool.  A handler that raises is
-    answered 500 with the exception text. *)
+(** Binds, listens, serves.  Requests are decoded where the
+    connection's bytes are read: in the reactor pump in fiber mode, in
+    the connection's task on a blocking reactor.  Every
+    parsed request runs as a pool task through [dispatch] (default:
+    [P.async] on the serving pool); replies the server decides itself
+    (503, 400, 408) are written by a task of the serving pool.  A
+    handler that raises is answered 500 with the exception text. *)
 
 val serve_router :
   (module Lhws_workloads.Pool_intf.POOL with type t = 'p) ->
@@ -214,7 +224,8 @@ val listener : server -> Listener.t
 val addr : server -> Unix.sockaddr
 
 val inflight : server -> int
-(** Requests dispatched and not yet answered, server-wide. *)
+(** Requests dispatched whose handler has not returned yet,
+    server-wide. *)
 
 val served : server -> int
 (** Responses written (all statuses). *)
@@ -225,9 +236,9 @@ val shed_503 : server -> int
 val draining : server -> bool
 
 val oldest_pending_age : server -> float
-(** Age in seconds of the oldest admitted-but-unanswered request (0
-    when none are pending) — the gauge the [max_queue_age] brownout
-    reads. *)
+(** Age in seconds of the oldest admitted request whose handler has
+    not returned (0 when none are pending) — the gauge the
+    [max_queue_age] brownout reads. *)
 
 val shutdown : ?grace:float -> server -> unit
 (** Drain: mark the server draining (new requests on live connections

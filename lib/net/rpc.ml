@@ -13,52 +13,6 @@ let check_len len =
   if len < 0 || len > max_frame then
     raise (Net.Protocol_error (Printf.sprintf "frame length %d out of range" len))
 
-(* Reads [n] header/payload bytes; [None] on EOF at a frame boundary
-   (clean hang-up), Peer_closed on EOF mid-frame.  The distinction
-   matters to retry policies: a peer that died mid-frame is a transient
-   endpoint failure (retryable on a fresh connection), while
-   Protocol_error — reserved for bytes that do not parse — means a
-   replay would resend the same garbage. *)
-let read_chunk conn n ~at_boundary =
-  let b = Bytes.create n in
-  let rec go pos =
-    if pos < n then
-      match Conn.read conn b pos (n - pos) with
-      | 0 -> if pos = 0 && at_boundary then None else raise Net.Peer_closed
-      | k -> go (pos + k)
-    else Some b
-  in
-  go 0
-
-let read_request conn =
-  match read_chunk conn 12 ~at_boundary:true with
-  | None -> None
-  | Some hdr ->
-      let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-      check_len len;
-      let id = Int64.to_int (Bytes.get_int64_be hdr 4) in
-      let payload =
-        match read_chunk conn len ~at_boundary:false with
-        | Some p -> p
-        | None -> assert false
-      in
-      Some (id, payload)
-
-let read_response conn =
-  match read_chunk conn 13 ~at_boundary:true with
-  | None -> None
-  | Some hdr ->
-      let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-      check_len len;
-      let id = Int64.to_int (Bytes.get_int64_be hdr 4) in
-      let status = Bytes.get_uint8 hdr 12 in
-      let payload =
-        match read_chunk conn len ~at_boundary:false with
-        | Some p -> p
-        | None -> assert false
-      in
-      Some (id, status, payload)
-
 (* Frames are header+payload iovs, not copies: the vectored write path
    sends both in one syscall, so there is no reason to blit the payload
    into a fresh buffer first. *)
@@ -79,101 +33,44 @@ let response_frame ~id ~status payload =
   Bytes.set_uint8 hdr 12 status;
   if len = 0 then [ hdr ] else [ hdr; payload ]
 
-(* --- server --- *)
+(* --- incremental frame decoding ---
 
-(* Per-connection cap on dispatched-but-unanswered requests.  [max_frame]
-   bounds each frame, but a client that pipelines without reading
-   responses could otherwise queue unbounded tasks and response buffers;
-   past the cap we stop decoding (and thus reading) further frames, so
-   backpressure reaches the peer through TCP. *)
-let max_pipeline = 256
-
-let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p)
-    ?dispatch ~handler conn =
-  (* [dispatch] routes each decoded request's task; the default keeps it
-     on the serving pool.  A topology passes its latency class's
-     dispatcher so handlers are pool-pinned there while the decode loop
-     (this function) stays wherever the listener put the connection.
-     Everything the dispatched task touches is cross-pool safe: the
-     counter is atomic, and the outbox's waits go through the serving
-     pool's [await], which suspends whatever fiber calls it. *)
-  let dispatch =
-    match dispatch with
-    | Some d -> d
-    | None -> fun f -> ignore (P.async pool f : unit Lhws_runtime.Promise.t)
-  in
-  let ob = Outbox.create ~await:(P.await pool) conn in
-  let outstanding = Outbox.Counter.create () in
-  let wait_until = Outbox.Counter.wait outstanding ~await:(P.await pool) in
-  let rec loop () =
-    wait_until (fun n -> n < max_pipeline);
-    match read_request conn with
-    | None -> ()
-    | Some (id, payload) ->
-        Outbox.Counter.incr outstanding;
-        (* Each decoded request becomes a pool task: responses go out in
-           completion order, ids let the client demultiplex — this is
-           where packet arrival order feeds the scheduler. *)
-        dispatch (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Outbox.Counter.decr outstanding)
-              (fun () ->
-                let status, resp =
-                  match handler payload with
-                  | v -> (0, v)
-                  | exception e -> (1, Bytes.of_string (Printexc.to_string e))
-                in
-                (* A response that cannot be written is not just this
-                   request's problem: the client is now owed a frame
-                   it will never get, so the stream contract is
-                   broken.  The outbox closes the connection — the
-                   client sees EOF and can retry on a fresh one —
-                   rather than silently dropping the frame on a live
-                   socket. *)
-                try Outbox.send ob (response_frame ~id ~status resp)
-                with Net.Closed | Net.Timeout -> ()));
-        loop ()
-  in
-  (try loop ()
-   with
-   | Net.Closed | Net.Timeout | Net.Peer_closed | Net.Protocol_error _ | End_of_file
-   -> ());
-  (* The connection may be closed the moment we return (the listener owns
-     it): let in-flight responses finish first. *)
-  wait_until (fun n -> n = 0)
-
-let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?config
-    ?dispatch addr ~handler =
-  Listener.serve (module P) pool rt ?config addr
-    ~handler:(fun conn -> serve_handler (module P) pool ?dispatch ~handler conn)
-
-(* --- pipelined client --- *)
-
-(* Incremental response decoding: bytes go in as they arrive, in chunks
-   of any size, and each completed frame comes out through [frame], from
-   wherever {!Conn.start_reader} delivers them: the reactor pump in fiber
-   mode, a reader task on blocking reactors. *)
+   Bytes go in as they arrive, in chunks of any size, and each completed
+   frame comes out through [frame], from wherever {!Conn.start_reader}
+   delivers them: the reactor pump in fiber mode, a reader task on
+   blocking reactors.  The server decodes requests (a 12-byte header),
+   the client responses (13 bytes: the status byte follows the id). *)
 module Decoder = struct
   type t = {
-    hdr : Bytes.t;
-    mutable have : int;  (* header bytes so far; 13 once in the payload *)
+    hdr : Bytes.t;  (* 12 or 13 bytes *)
+    mutable have : int;  (* header bytes so far; the header's length once in the payload *)
     mutable payload : Bytes.t;
     mutable filled : int;
   }
 
-  let create () = { hdr = Bytes.create 13; have = 0; payload = Bytes.empty; filled = 0 }
+  let create ~hdr_len = { hdr = Bytes.create hdr_len; have = 0; payload = Bytes.empty; filled = 0 }
 
   (* A frame has started but not finished: EOF now is the peer dying
-     mid-frame. *)
+     mid-frame.  The distinction matters to retry policies: a peer that
+     died mid-frame is a transient endpoint failure (retryable on a
+     fresh connection), while Protocol_error — reserved for bytes that
+     do not parse — means a replay would resend the same garbage. *)
   let mid_frame d = d.have > 0
 
+  (* Bytes that finish the header, or the payload once it has one. *)
+  let wanted d =
+    if d.have < Bytes.length d.hdr then Bytes.length d.hdr - d.have
+    else Bytes.length d.payload - d.filled
+
+  (* [frame id status payload]; a request's status is 0. *)
   let rec feed d buf pos len ~frame =
-    if d.have < 13 then begin
+    let hlen = Bytes.length d.hdr in
+    if d.have < hlen then begin
       if len > 0 then begin
-        let k = min len (13 - d.have) in
+        let k = min len (hlen - d.have) in
         Bytes.blit buf pos d.hdr d.have k;
         d.have <- d.have + k;
-        if d.have = 13 then begin
+        if d.have = hlen then begin
           let plen = Int32.to_int (Bytes.get_int32_be d.hdr 0) in
           check_len plen;
           d.payload <- Bytes.create plen;
@@ -188,7 +85,7 @@ module Decoder = struct
       d.filled <- d.filled + k;
       if d.filled = Bytes.length d.payload then begin
         let id = Int64.to_int (Bytes.get_int64_be d.hdr 4) in
-        let status = Bytes.get_uint8 d.hdr 12 in
+        let status = if hlen > 12 then Bytes.get_uint8 d.hdr 12 else 0 in
         let payload = d.payload in
         d.have <- 0;
         d.payload <- Bytes.empty;
@@ -197,6 +94,66 @@ module Decoder = struct
       if len > k then feed d buf (pos + k) (len - k) ~frame
     end
 end
+
+(* --- server --- *)
+
+(* Per-connection cap on dispatched-but-unanswered requests.  [max_frame]
+   bounds each frame, but a client that pipelines without reading
+   responses could otherwise queue unbounded tasks and response buffers;
+   past the cap the reader is held, so backpressure reaches the peer
+   through TCP. *)
+let max_pipeline = 256
+
+(* Frames decoded from one chunk wait in [frames] until the pipeline
+   has room; the reader is held meanwhile, so at most one chunk's worth
+   waits.  A frame length out of range queues [None] behind the good
+   frames before it, which are still answered.  Each frame becomes a
+   pool task: responses go out in completion order, ids let the client
+   demultiplex — this is where packet arrival order feeds the
+   scheduler. *)
+let serve_handler (type p) (module P : Pool_intf.POOL with type t = p) (pool : p)
+    ?dispatch ~handler conn =
+  let ob = Outbox.create ~await:(P.await pool) conn in
+  let decoder = Decoder.create ~hdr_len:12 in
+  let frames = Queue.create () in
+  let step s =
+    match Queue.take_opt frames with
+    | None -> `Need
+    | Some None -> `Stop
+    | Some (Some (id, payload)) ->
+        Session.spawn s ?dispatch (fun () ->
+            let status, resp =
+              match handler payload with
+              | v -> (0, v)
+              | exception e -> (1, Bytes.of_string (Printexc.to_string e))
+            in
+            (* A response that cannot be written is not just this
+               request's problem: the client is now owed a frame it
+               will never get, so the stream contract is broken.  The
+               outbox closes the connection — the client sees EOF and
+               can retry on a fresh one — rather than silently dropping
+               the frame on a live socket. *)
+            try Outbox.send ob (response_frame ~id ~status resp)
+            with Net.Closed | Net.Timeout -> ());
+        `Next
+  in
+  Session.serve
+    (module P)
+    pool conn ~max_pipeline
+    ~feed:(fun buf pos len ->
+      try
+        Decoder.feed decoder buf pos len ~frame:(fun id _ payload ->
+            Queue.push (Some (id, payload)) frames)
+      with Net.Protocol_error _ -> Queue.push None frames)
+    ~step
+    ~ended:(fun _ _ -> ())
+
+let serve (type p) (module P : Pool_intf.POOL with type t = p) (pool : p) rt ?config
+    ?dispatch addr ~handler =
+  Listener.serve (module P) pool rt ?config addr
+    ~handler:(fun conn -> serve_handler (module P) pool ?dispatch ~handler conn)
+
+(* --- pipelined client --- *)
 
 module Client = struct
   type t = {
@@ -281,7 +238,7 @@ module Client = struct
         pending = Hashtbl.create 32;
         next_id = Atomic.make 1;
         closed = Atomic.make false;
-        decoder = Decoder.create ();
+        decoder = Decoder.create ~hdr_len:13;
         reader_done = Promise.create ();
         await = P.await pool;
       }
@@ -331,7 +288,15 @@ end
 
 let call_sync conn payload =
   Conn.writev_all conn (request_frame ~id:0 payload);
-  match read_response conn with
-  | None -> raise Net.Closed
-  | Some (_, 0, resp) -> resp
-  | Some (_, _, err) -> raise (Net.Remote_error (Bytes.to_string err))
+  let d = Decoder.create ~hdr_len:13 and reply = ref None in
+  let buf = Bytes.create 4096 in
+  while Option.is_none !reply do
+    (* Never past the reply: the caller owns the rest of the stream. *)
+    match Conn.read conn buf 0 (min 4096 (Decoder.wanted d)) with
+    | 0 -> raise (if Decoder.mid_frame d then Net.Peer_closed else Net.Closed)
+    | n -> Decoder.feed d buf 0 n ~frame:(fun _ status p -> reply := Some (status, p))
+  done;
+  match !reply with
+  | Some (0, resp) -> resp
+  | Some (_, err) -> raise (Net.Remote_error (Bytes.to_string err))
+  | None -> assert false

@@ -7,7 +7,15 @@
     connection; ids pair responses with calls, so responses travel in
     {e completion} order — on the server, every decoded request is
     dispatched as its own pool task, which is exactly how real packet
-    arrival order feeds the scheduler's resume path. *)
+    arrival order feeds the scheduler's resume path.
+
+    Layers, both directions on one read driver ({!Conn.start_reader})
+    and one frame decoder:
+    - server: {!serve_handler} decodes request frames where the reader
+      delivers them (the reactor pump in fiber mode) and dispatches
+      each as a pool task; replies leave through an {!Outbox};
+    - client: {!Client} decodes reply frames the same way and resolves
+      each call's promise there. *)
 
 val max_frame : int
 (** Largest accepted payload (8 MiB); bigger frames fail with
@@ -22,18 +30,22 @@ val serve_handler :
   handler:(bytes -> bytes) ->
   Conn.t ->
   unit
-(** Connection loop for a {!Listener} handler: decode frames, dispatch
-    each as a pool task, serialise response writes.  At most 256 requests
-    may be dispatched-but-unanswered per connection — past that the loop
-    stops reading frames until responses drain, so a client pipelining
-    without reading responses is throttled through TCP instead of queueing
-    unbounded tasks.  Returns when the peer hangs up (after in-flight
-    responses drain).
+(** The {!Listener} connection handler: reads the connection through
+    {!Conn.start_reader} (see {!Session}), so in fiber mode the reactor
+    pump decodes each request frame where its bytes arrive and
+    dispatches it as a pool task there, with no reader fiber to resume.
+    Responses are serialised through one {!Outbox}.  At most 256
+    requests may be dispatched-but-unanswered per connection; past that
+    the reader is held until responses drain, so a client pipelining
+    without reading responses is throttled through TCP instead of
+    queueing unbounded tasks.  Returns when the peer hangs up (after
+    in-flight responses drain), once per connection.  On a blocking
+    reactor the same path runs with this task reading.
 
     [dispatch] routes each decoded request's task (default: [P.async] on
     the serving pool).  Pass a topology class's
     {!Lhws_workloads.Topology.dispatcher} to pin RPC handlers to that
-    class's pool while the decode loop stays put. *)
+    class's pool while the connection stays put. *)
 
 val serve :
   (module Lhws_workloads.Pool_intf.POOL with type t = 'p) ->
@@ -45,14 +57,15 @@ val serve :
   handler:(bytes -> bytes) ->
   Listener.t
 (** [Listener.serve] with {!serve_handler} as the connection handler;
-    [dispatch] reaches the per-request tasks (the connection loops stay
+    [dispatch] reaches the per-request tasks (the connection tasks stay
     on the serving pool). *)
 
 (** {1 Pipelined client}
 
     Replies are decoded by one incremental frame decoder per client,
-    fed by the reader {!Conn.start_reader} runs (the read driver
-    {!Http.Client} shares):
+    the one the server decodes requests with, fed by the reader
+    {!Conn.start_reader} runs (the read driver {!Http.Client} and both
+    servers share):
 
     - On a fiber-mode reactor there is no reader task.  The connection
       keeps one persistent read intent ({!Conn.start_reader}); the

@@ -521,17 +521,27 @@ let clear_scavenge = C.clear_scavenge
 
 (* --- fiber-facing operations --- *)
 
+(* From a task the fiber lands on the running deque.  The reactor pump
+   also spawns here, between tasks, where the worker may have retired
+   its active deque: it then starts one, as [inject] does.  A caller
+   that is not a worker of this pool (another pool's worker or pump, a
+   plain thread) goes through [submit], so the task never lands in a
+   foreign pool's deque. *)
 let async t f =
   let p = Promise.create () in
-  let _, w = C.self () in
-  let d =
-    match w.active with
-    | Some d -> d
-    | None -> failwith "Lhws_pool.async: no active deque (call from within run)"
-  in
-  Chase_lev.push_bottom d.q
-    (Fresh (fun () -> Promise.fulfill p (try Ok (f ()) with e -> Error e)));
-  ignore t;
+  let task () = Promise.fulfill p (try Ok (f ()) with e -> Error e) in
+  (match C.self_opt () with
+  | Some (ctx, w) when (C.pool t).slots.(ctx.Core.wid) == w ->
+      let d =
+        match w.active with
+        | Some d -> d
+        | None ->
+            let d = alloc_deque (C.pool t) w in
+            w.active <- Some d;
+            d
+      in
+      Chase_lev.push_bottom d.q (Fresh task)
+  | _ -> C.submit t task);
   p
 
 let await p =

@@ -141,7 +141,12 @@ val heartbeats : t -> int array
 
 val async : t -> (unit -> 'a) -> 'a Promise.t
 (** Spawns a fiber onto the current worker's active deque (right-child
-    spawn).  Must be called from within {!run}. *)
+    spawn).  Also works from a registered poller between tasks (the
+    reactor pump dispatching a request), where the worker may have no
+    active deque: it then starts one.  Called from anywhere but a
+    worker of this pool (another pool's worker or pump, a plain
+    thread), it falls back to {!submit}, so the fiber never lands in a
+    foreign pool's deque. *)
 
 val await : 'a Promise.t -> 'a
 (** Returns the promise's value, suspending the calling fiber if pending.

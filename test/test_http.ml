@@ -619,7 +619,10 @@ let test_http_brownout_max_queue_age () =
           let srv =
             Http.serve (module Pl) p rt ~config loopback0
               ~handler:(fun req ->
-                if req.Http.path = "/slow" then Pl.sleep p 0.4;
+                (match req.Http.path with
+                | "/slow" -> Pl.sleep p 0.4
+                | "/aged" -> Pl.sleep p 0.08
+                | _ -> ());
                 Http.text "done")
           in
           let cl = Http.Client.connect (module Pl) p rt (Http.addr srv) in
@@ -661,6 +664,17 @@ let test_http_brownout_max_queue_age () =
           let ok = Pl.await p (Http.Client.call cl ~meth:"GET" ~target:"/again" ()) in
           Alcotest.(check int) "admission recovers after the queue drains" 200
             ok.Http.Client.status;
+          (* Back to back, with no pause: each aged request leaves the
+             gauge before its reply is written, so the request sent the
+             moment that reply is read is admitted. *)
+          for round = 1 to 5 do
+            let aged = Pl.await p (Http.Client.call cl ~meth:"GET" ~target:"/aged" ()) in
+            let again = Pl.await p (Http.Client.call cl ~meth:"GET" ~target:"/again" ()) in
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "round %d: aged request, then admitted at once" round)
+              (200, 200)
+              (aged.Http.Client.status, again.Http.Client.status)
+          done;
           Alcotest.(check bool) "brownout counted as shed" true (Http.shed_503 srv >= 1);
           Http.Client.close cl;
           Http.shutdown ~grace:2. srv))
@@ -1062,6 +1076,318 @@ let test_client_reply_resolves_while_busy () =
         (Printf.sprintf "resolved %.2f ms after the send, workers busy" (lag *. 1e3))
         true (lag < 0.005))
 
+(* ------------------------------------------------------------------ *)
+(* Server: decoding requests from a raw-socket peer                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The server's replies as "status body" rows, split on each head's
+   Content-Length (the serializer always sends one); a torn tail shows
+   as such. *)
+let render_replies s =
+  let rec go acc i =
+    if i >= String.length s then List.rev acc
+    else
+      match Astring.String.find_sub ~start:i ~sub:"\r\n\r\n" s with
+      | None -> List.rev (("torn " ^ String.sub s i (String.length s - i)) :: acc)
+      | Some j ->
+          let head = String.sub s i (j - i) in
+          let status = match String.split_on_char ' ' head with _ :: c :: _ -> c | _ -> "?" in
+          let len =
+            List.find_map
+              (fun l ->
+                match Astring.String.cut ~sep:": " (String.lowercase_ascii l) with
+                | Some ("content-length", v) -> int_of_string_opt (String.trim v)
+                | _ -> None)
+              (String.split_on_char '\n' head)
+            |> Option.value ~default:0
+          in
+          let len = min len (String.length s - j - 4) in
+          go ((status ^ " " ^ String.sub s (j + 4) len) :: acc) (j + 4 + len)
+  in
+  go [] 0
+
+let server_handler (req : Http.request) =
+  Http.text
+    (Printf.sprintf "%s %s %s" req.Http.meth req.Http.target (Bytes.to_string req.Http.body))
+
+(* (name, what the peer sends, whether it then half-closes, the replies).
+   A peer that does not half-close keeps the connection open: it ends
+   at a [Connection: close], a parse error, or the read deadline. *)
+let server_cases =
+  let get ?(close = false) t =
+    Printf.sprintf "GET %s HTTP/1.1\r\nHost: t%s\r\n\r\n" t
+      (if close then "\r\nConnection: close" else "")
+  in
+  [
+    ( "content-length",
+      "POST /a HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhello",
+      false,
+      [ "200 POST /a hello" ] );
+    ( "chunked with extension and trailer",
+      "POST /c HTTP/1.1\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+      ^ "4;ext=1\r\nWiki\r\n5\r\npedia\r\n0\r\nX-Trailer: t\r\n\r\n",
+      false,
+      [ "200 POST /c Wikipedia" ] );
+    ( "pipelined burst",
+      get "/1" ^ get "/2" ^ "POST /3 HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi" ^ get ~close:true "/4",
+      false,
+      [ "200 GET /1 "; "200 GET /2 "; "200 POST /3 hi"; "200 GET /4 " ] );
+    ("pipelined, then EOF at a boundary", get "/1" ^ get "/2", true, [ "200 GET /1 "; "200 GET /2 " ]);
+    ( "malformed request line after a good one",
+      get "/ok" ^ "florble blorp\r\n\r\n" ^ get "/never",
+      false,
+      [ "200 GET /ok "; "400 malformed request line\n" ] );
+    ( "content-length alongside transfer-encoding",
+      "POST /s HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n",
+      false,
+      [ "400 content-length alongside transfer-encoding\n" ] );
+    ("stall mid-request", "GET /s HTTP/1.1\r\nHost: t\r\n", false, [ "408 request timeout\n" ]);
+    ("stall at a boundary", get "/1", false, [ "200 GET /1 " ]);
+    ("EOF mid-body", "POST /e HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", true, []);
+  ]
+
+(* Runs every case, whole and byte by byte, against one server; a peer
+   domain plays each script and reads until the server closes. *)
+let run_server_cases (type p) (module Pl : P.POOL with type t = p) (p : p) rt ~label =
+  let config =
+    { Http.default_config with listener = { Listener.default_config with read_timeout = Some 0.15 } }
+  in
+  let rows =
+    Pl.run p (fun () ->
+        let srv = Http.serve (module Pl) p rt ~config loopback0 ~handler:server_handler in
+        let rows =
+          List.concat_map
+            (fun bytewise ->
+              List.map
+                (fun (name, script, half_close, expect) ->
+                  let got = Atomic.make None in
+                  let peer =
+                    Domain.spawn (fun () ->
+                        let fd = raw_connect (Http.addr srv) in
+                        write_pieces fd script ~piece:(if bytewise then 1 else max_int);
+                        if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                        let answer = try slurp fd with Unix.Unix_error _ -> "reset" in
+                        Unix.close fd;
+                        Atomic.set got (Some answer))
+                  in
+                  (* Keep this worker scheduling while the peer plays. *)
+                  let rec wait i =
+                    if Atomic.get got = None && i < 1000 then begin
+                      Pl.sleep p 0.005;
+                      wait (i + 1)
+                    end
+                  in
+                  wait 0;
+                  Domain.join peer;
+                  let row outcomes =
+                    Printf.sprintf "%s, %s: %s" name
+                      (if bytewise then "bytewise" else "whole")
+                      (String.concat " | " outcomes)
+                  in
+                  ( row expect,
+                    row (match Atomic.get got with Some a -> render_replies a | None -> [ "peer stuck" ])
+                  ))
+                server_cases)
+            [ false; true ]
+        in
+        Http.shutdown ~grace:2. srv;
+        rows)
+  in
+  Alcotest.(check (list string)) label (List.map fst rows) (List.map snd rows)
+
+(* The server's reactor draws from a fault plane: short reads split
+   requests at arbitrary bytes, injected delays postpone reads.  Seeded
+   through CHAOS_SEED. *)
+let server_fault () =
+  let seed =
+    match Sys.getenv_opt "CHAOS_SEED" with Some s -> int_of_string s | None -> 0x5e7
+  in
+  ( seed,
+    Fault.create
+      {
+        (Fault.storm ~seed ~rate:0.0 ()) with
+        Fault.p_short = 0.3;
+        p_eagain = 0.05;
+        p_delay = 0.05;
+        delay_s = 0.001;
+      } )
+
+let test_server_decoding_lhws () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  let seed, fault = server_fault () in
+  with_lhws_net ~workers:2 ~fault (fun p rt ->
+      run_server_cases (module P.Lhws_instance) p rt
+        ~label:(Printf.sprintf "lhws fibers (seed %#x)" seed);
+      Alcotest.(check int) "io_pending gauge drained" 0
+        (P.Lhws_instance.stats p).Scheduler_core.io_pending);
+  let inj = Fault.injected fault in
+  Alcotest.(check bool)
+    (Printf.sprintf "short reads and delays injected (%d, %d)" inj.shorts inj.delays)
+    true
+    (inj.shorts > 0 && inj.delays > 0);
+  Alcotest.(check int) "no descriptor leaked" before (count_fds ())
+
+let test_server_decoding_threads () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  let seed, fault = server_fault () in
+  let module Pt = P.Threaded_instance in
+  let tp = Pt.create () in
+  Fun.protect
+    ~finally:(fun () -> Pt.shutdown tp)
+    (fun () ->
+      run_server_cases (module Pt) tp (Reactor.blocking ~fault ())
+        ~label:(Printf.sprintf "threads blocking (seed %#x)" seed));
+  let inj = Fault.injected fault in
+  Alcotest.(check bool)
+    (Printf.sprintf "short reads and delays injected (%d, %d)" inj.shorts inj.delays)
+    true
+    (inj.shorts > 0 && inj.delays > 0);
+  Alcotest.(check int) "no descriptor leaked" before (count_fds ())
+
+(* --- a blocking server costs one thread per connection: the connection
+       task is the reader.  A thread pool capped at n + 2 holds the
+       acceptor, n open connections and one handler at a time; a reader
+       task per connection on top would fill the cap and leave no slot
+       for a handler, so no request would ever be answered.  Then a
+       burst of three pipelined requests on one connection: the second
+       handler must wait for the first to retire, and the first must be
+       able to finish while it waits. --- *)
+
+let test_server_thread_per_connection () =
+  let n = 6 in
+  let module Pt = P.Threaded_instance in
+  let tp = Lhws_runtime.Threaded_pool.create ~max_threads:(n + 2) () in
+  Pt.run tp (fun () ->
+      let srv =
+        Http.serve (module Pt) tp (Reactor.blocking ()) loopback0 ~handler:server_handler
+      in
+      let fds = List.init n (fun _ -> raw_connect (Http.addr srv)) in
+      let answers =
+        List.mapi
+          (fun i fd ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+            write_pieces fd (Printf.sprintf "GET /%d HTTP/1.1\r\nHost: t\r\n\r\n" i)
+              ~piece:max_int;
+            let b = Bytes.create 4096 in
+            match Unix.read fd b 0 4096 with
+            | k -> String.concat " " (render_replies (Bytes.sub_string b 0 k))
+            | exception Unix.Unix_error _ -> "no reply")
+          fds
+      in
+      (* Checked before the shutdown: a starved pool would never drain. *)
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d open connections served under a cap of %d threads" n (n + 2))
+        (List.init n (Printf.sprintf "200 GET /%d "))
+        answers;
+      let fd = List.hd fds in
+      write_pieces fd
+        (String.concat ""
+           (List.init 3 (fun i ->
+                Printf.sprintf "GET /p%d HTTP/1.1\r\nHost: t%s\r\n\r\n" i
+                  (if i = 2 then "\r\nConnection: close" else ""))))
+        ~piece:max_int;
+      let burst = try render_replies (slurp fd) with Unix.Unix_error _ -> [ "no reply" ] in
+      Alcotest.(check (list string)) "pipelined burst at the cap"
+        [ "200 GET /p0 "; "200 GET /p1 "; "200 GET /p2 " ]
+        burst;
+      List.iter Unix.close fds;
+      Http.shutdown ~grace:2. srv);
+  Pt.shutdown tp
+
+(* --- the held reader: a peer pipelines 4 x max_pipeline requests and
+       reads nothing for 100 ms.  Replies of 1 MiB into a small receive
+       buffer back up into the server's outbox (a socket send buffer
+       holds at most 4 MiB by default), so handlers stay owed and the
+       reader is held at the limit with requests still unread.  The
+       handlers never exceed the bound, fewer than all of them run
+       before the peer reads, every reply arrives in order once it
+       does, and closing leaves no descriptor and no parked intent
+       behind. --- *)
+
+let test_server_held_reader () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  let limit = 4 and reply_bytes = 1024 * 1024 in
+  let n = 4 * limit in
+  with_lhws_net ~workers:2 (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      Pl.run p (fun () ->
+          let running = Atomic.make 0 and peak = Atomic.make 0 and calls = Atomic.make 0 in
+          let rec raise_peak k =
+            let cur = Atomic.get peak in
+            if k > cur && not (Atomic.compare_and_set peak cur k) then raise_peak k
+          in
+          let handler (req : Http.request) =
+            Atomic.incr calls;
+            raise_peak (Atomic.fetch_and_add running 1 + 1);
+            Pl.sleep p 0.002;
+            Atomic.decr running;
+            let tag = req.Http.target in
+            Http.response
+              (Bytes.of_string (tag ^ String.make (reply_bytes - String.length tag) '.'))
+          in
+          let config = { Http.default_config with max_pipeline = limit } in
+          let srv = Http.serve (module Pl) p rt ~config loopback0 ~handler in
+          let answer = Atomic.make None and calls_before_read = Atomic.make 0 in
+          let peer =
+            Domain.spawn (fun () ->
+                let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+                Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+                Unix.connect fd (Http.addr srv);
+                let reqs =
+                  String.concat ""
+                    (List.init n (fun i ->
+                         Printf.sprintf "GET /r%02d HTTP/1.1\r\nHost: t%s\r\n\r\n" i
+                           (if i = n - 1 then "\r\nConnection: close" else "")))
+                in
+                write_pieces fd reqs ~piece:max_int;
+                Unix.sleepf 0.1;
+                Atomic.set calls_before_read (Atomic.get calls);
+                let a = slurp fd in
+                Unix.close fd;
+                Atomic.set answer (Some a))
+          in
+          let rec wait i =
+            if Atomic.get answer = None && i < 2000 then begin
+              Pl.sleep p 0.005;
+              wait (i + 1)
+            end
+          in
+          wait 0;
+          Domain.join peer;
+          let tags =
+            match Atomic.get answer with
+            | None -> [ "peer stuck" ]
+            | Some a ->
+                List.map
+                  (fun r ->
+                    match String.split_on_char ' ' r with
+                    | [ status; body ] when String.length body = reply_bytes ->
+                        status ^ " " ^ String.sub body 0 4
+                    | _ -> "bad reply")
+                  (render_replies a)
+          in
+          Alcotest.(check (list string))
+            "every reply, in order, once the peer reads"
+            (List.init n (Printf.sprintf "200 /r%02d"))
+            tags;
+          Alcotest.(check bool)
+            (Printf.sprintf "peak %d handlers at once (max_pipeline %d)" (Atomic.get peak)
+               limit)
+            true
+            (Atomic.get peak <= limit);
+          Alcotest.(check bool)
+            (Printf.sprintf "held while the peer did not read (%d of %d handlers ran)"
+               (Atomic.get calls_before_read) n)
+            true
+            (Atomic.get calls_before_read < n);
+          Http.shutdown ~grace:2. srv);
+      Alcotest.(check int) "io_pending gauge drained" 0
+        (Pl.stats p).Scheduler_core.io_pending);
+  Alcotest.(check int) "no descriptor leaked" before (count_fds ())
+
 let () =
   Alcotest.run "http"
     [
@@ -1091,6 +1417,14 @@ let () =
             test_http_queued_responses_do_not_poll;
           Alcotest.test_case "max_pipeline bounds handlers" `Quick
             test_http_max_pipeline_bounds_handlers;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "decoding on lhws fibers" `Quick test_server_decoding_lhws;
+          Alcotest.test_case "decoding on threads blocking" `Quick
+            test_server_decoding_threads;
+          Alcotest.test_case "held reader" `Quick test_server_held_reader;
+          Alcotest.test_case "capped thread pool" `Quick test_server_thread_per_connection;
         ] );
       ( "client",
         [

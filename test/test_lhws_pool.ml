@@ -219,12 +219,12 @@ let lemma7_rounds p ~rounds =
       in
       List.init lemma7_fibers fiber |> List.iter (fun f -> ignore (Pool.await f : int)))
 
-let check_lemma7 label (st : Pool.stats) =
+let check_lemma7 ?(u = lemma7_fibers) label (st : Pool.stats) =
   Alcotest.(check bool)
-    (Printf.sprintf "%s: max_deques_per_worker %d <= N + 1" label
-       st.Scheduler_core.max_deques_per_worker)
+    (Printf.sprintf "%s: max_deques_per_worker %d <= U + 1 = %d" label
+       st.Scheduler_core.max_deques_per_worker (u + 1))
     true
-    (st.Scheduler_core.max_deques_per_worker <= lemma7_fibers + 1)
+    (st.Scheduler_core.max_deques_per_worker <= u + 1)
 
 let test_lemma7_one_worker () =
   Pool.with_pool ~workers:1 (fun p ->
@@ -241,6 +241,135 @@ let test_lemma7_two_workers () =
   Pool.with_pool ~workers:2 (fun p ->
       lemma7_rounds p ~rounds:100;
       check_lemma7 "2 workers" (Pool.stats p))
+
+(* --- async from the pump ---
+
+   The reactor pump dispatches requests with [async] between tasks,
+   where the worker may have no active deque.  A poller stands in for
+   it: on a pass right after a scheduling round that ran nothing (the
+   worker has just retired its deque), it spawns a fiber.  Each must
+   run. *)
+
+let test_async_from_pump () =
+  Pool.with_pool ~workers:1 (fun p ->
+      let want = 20 in
+      let spawned = ref 0 and ran = Atomic.make 0 and last_run = ref (-1) in
+      Pool.register_poller p (fun () ->
+          let tasks = (Pool.stats p).Scheduler_core.tasks_run in
+          let idle_pass = tasks = !last_run in
+          last_run := tasks;
+          if idle_pass && !spawned < want then begin
+            incr spawned;
+            ignore (Pool.async p (fun () -> Atomic.incr ran) : unit Promise.t);
+            1
+          end
+          else 0);
+      Pool.run p (fun () ->
+          let rec wait i =
+            if Atomic.get ran < want && i < 2000 then begin
+              Pool.sleep p 0.001;
+              wait (i + 1)
+            end
+          in
+          wait 0);
+      Alcotest.(check int) "every fiber spawned from the pump ran" want (Atomic.get ran))
+
+(* Lemma 7 with the pump spawning too: every [every]-th pass spawns a
+   short compute fiber, with or without an active deque.  The spawns
+   never suspend and a deque the pump starts is the active one, so the
+   bound is still U + 1.  Here U counts the root too: its [await] on a
+   fiber suspends (a join is a heavy edge in this pool, ROADMAP item 1),
+   so up to N + 1 fibers are suspended at once.  The tests above rely on
+   the root's deque also holding sleepers; with the pump's extra deques
+   and steals, a worker was seen owning N + 2 deques under load. *)
+let pump_spawner p ~every =
+  let passes = ref 0 and ran = Atomic.make 0 in
+  Pool.register_poller p (fun () ->
+      incr passes;
+      if !passes mod every <> 0 then 0
+      else begin
+        ignore (Pool.async p (fun () -> Atomic.incr ran) : unit Promise.t);
+        1
+      end);
+  ran
+
+let test_lemma7_pump_one_worker () =
+  Pool.with_pool ~workers:1 (fun p ->
+      let ran = pump_spawner p ~every:7 in
+      lemma7_rounds p ~rounds:10;
+      let after10 = Pool.stats p in
+      lemma7_rounds p ~rounds:90;
+      let after100 = Pool.stats p in
+      let u = lemma7_fibers + 1 in
+      check_lemma7 ~u "10 rounds" after10;
+      check_lemma7 ~u "100 rounds" after100;
+      Alcotest.(check int) "deques_allocated flat from 10 to 100 rounds"
+        after10.Scheduler_core.deques_allocated after100.Scheduler_core.deques_allocated;
+      Alcotest.(check bool)
+        (Printf.sprintf "pump spawns ran (%d)" (Atomic.get ran))
+        true
+        (Atomic.get ran > 0))
+
+let test_lemma7_pump_two_workers () =
+  Pool.with_pool ~workers:2 (fun p ->
+      let ran = pump_spawner p ~every:7 in
+      lemma7_rounds p ~rounds:100;
+      check_lemma7 ~u:(lemma7_fibers + 1) "2 workers" (Pool.stats p);
+      Alcotest.(check bool)
+        (Printf.sprintf "pump spawns ran (%d)" (Atomic.get ran))
+        true
+        (Atomic.get ran > 0))
+
+(* A pump running on a worker of pool B spawns onto pool A (a shared
+   reactor, or a connection closed from another pool's task).  The
+   fiber must run on A's worker, never in B's deque: A runs in a domain
+   of its own, B on this one. *)
+let test_async_from_foreign_pump () =
+  let ran_on = Atomic.make None and a_handle = Atomic.make None in
+  let a_domain =
+    Domain.spawn (fun () ->
+        Pool.with_pool ~workers:1 (fun a ->
+            Atomic.set a_handle (Some a);
+            Pool.run a (fun () ->
+                let rec wait i =
+                  if Atomic.get ran_on = None && i < 2000 then begin
+                    Pool.sleep a 0.001;
+                    wait (i + 1)
+                  end
+                in
+                wait 0));
+        (Domain.self () :> int))
+  in
+  let rec pool_a () =
+    match Atomic.get a_handle with
+    | Some a -> a
+    | None ->
+        Unix.sleepf 0.001;
+        pool_a ()
+  in
+  let a = pool_a () in
+  Pool.with_pool ~workers:1 (fun b ->
+      let spawned = ref false in
+      Pool.register_poller b (fun () ->
+          if !spawned then 0
+          else begin
+            spawned := true;
+            ignore
+              (Pool.async a (fun () -> Atomic.set ran_on (Some (Domain.self () :> int)))
+                : unit Promise.t);
+            1
+          end);
+      Pool.run b (fun () ->
+          let rec wait i =
+            if Atomic.get ran_on = None && i < 2000 then begin
+              Pool.sleep b 0.001;
+              wait (i + 1)
+            end
+          in
+          wait 0));
+  let a_id = Domain.join a_domain in
+  Alcotest.(check (option int)) "the fiber ran on pool A's worker" (Some a_id)
+    (Atomic.get ran_on)
 
 let test_victim_stats_growth () =
   let module VS = Scheduler_core.Victim_stats in
@@ -457,6 +586,13 @@ let () =
             test_deque_table_growth;
           Alcotest.test_case "lemma 7 bound, one worker" `Quick test_lemma7_one_worker;
           Alcotest.test_case "lemma 7 bound, two workers" `Quick test_lemma7_two_workers;
+          Alcotest.test_case "async from the pump" `Quick test_async_from_pump;
+          Alcotest.test_case "lemma 7 bound with pump spawns, one worker" `Quick
+            test_lemma7_pump_one_worker;
+          Alcotest.test_case "lemma 7 bound with pump spawns, two workers" `Quick
+            test_lemma7_pump_two_workers;
+          Alcotest.test_case "async from another pool's pump" `Quick
+            test_async_from_foreign_pump;
           Alcotest.test_case "victim stats growth" `Quick test_victim_stats_growth;
           Alcotest.test_case "victim stats pick_foreign" `Quick
             test_victim_stats_pick_foreign;

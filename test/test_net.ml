@@ -7,16 +7,17 @@ module Listener = Lhws_net.Listener
 module Rpc = Lhws_net.Rpc
 module Load = Lhws_net.Load
 module Nmr = Lhws_net.Net_map_reduce
+module Fault = Lhws_net.Fault
 
 let loopback0 = Unix.ADDR_INET (Unix.inet_addr_loopback, 0)
 
-let with_lhws_net ?(workers = 2) f =
+let with_lhws_net ?(workers = 2) ?fault f =
   Lhws_pool.with_pool ~workers (fun p ->
       let rt =
         Reactor.fibers
           ~register:(fun ~pending ~syscalls poll ->
             Lhws_pool.register_poller p ?pending ?syscalls poll)
-          ()
+          ?fault ()
       in
       f p rt)
 
@@ -538,6 +539,208 @@ let test_net_map_reduce_modes () =
           let sum = Pt.run p (fun () -> Nmr.run (module Pt) p rt ~addr ~n ~conns:2 ~fib_n ()) in
           Alcotest.(check int) "threads blocking checksum" expect sum))
 
+(* --- Rpc.serve decoding request frames from a raw-socket peer ---
+
+   Each script goes out whole and byte by byte, on a fiber and on a
+   blocking reactor, under a seeded fault plane (CHAOS_SEED) that
+   splits reads and delays them.  Replies leave in completion order,
+   so a case's replies compare sorted. *)
+
+let req_frame id payload =
+  let b = Bytes.create (12 + String.length payload) in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
+  Bytes.set_int64_be b 4 (Int64.of_int id);
+  Bytes.blit_string payload 0 b 12 (String.length payload);
+  Bytes.to_string b
+
+(* "id:status:payload" rows of a reply stream; a torn tail shows. *)
+let render_frames s =
+  let rec go acc i =
+    if i = String.length s then List.sort compare acc
+    else if String.length s - i < 13 then List.sort compare (("torn " ^ string_of_int i) :: acc)
+    else
+      let b = Bytes.unsafe_of_string s in
+      let len = Int32.to_int (Bytes.get_int32_be b i) in
+      let id = Int64.to_int (Bytes.get_int64_be b (i + 4)) in
+      let status = Bytes.get_uint8 b (i + 12) in
+      let len = min len (String.length s - i - 13) in
+      go (Printf.sprintf "%d:%d:%s" id status (String.sub s (i + 13) len) :: acc) (i + 13 + len)
+  in
+  go [] 0
+
+(* (name, what the peer sends, whether it then half-closes, the replies).
+   A peer that does not half-close waits for the server to end the
+   connection: a bad frame length, or the read deadline. *)
+let rpc_server_cases =
+  let bad_len =
+    let b = Bytes.create 12 in
+    Bytes.set_int32_be b 0 (Int32.of_int (Rpc.max_frame + 1));
+    Bytes.set_int64_be b 4 9L;
+    Bytes.to_string b
+  in
+  [
+    ("one frame", req_frame 1 "hello", true, [ "1:0:hello" ]);
+    ( "pipelined burst, empty payload included",
+      String.concat "" (List.map (fun i -> req_frame i (String.make i 'x')) [ 0; 1; 2; 3; 4 ]),
+      true,
+      [ "0:0:"; "1:0:x"; "2:0:xx"; "3:0:xxx"; "4:0:xxxx" ] );
+    ("EOF mid-frame", req_frame 1 "ok" ^ String.sub (req_frame 2 "xx") 0 7, true, [ "1:0:ok" ]);
+    ("frame length out of range", req_frame 1 "ok" ^ bad_len ^ req_frame 2 "never", false, [ "1:0:ok" ]);
+    ("stall mid-frame", req_frame 1 "ok" ^ String.sub (req_frame 2 "xx") 0 13, false, [ "1:0:ok" ]);
+  ]
+
+let run_rpc_server_cases (type p) (module Pl : P.POOL with type t = p) (p : p) rt ~label =
+  let config = { Listener.default_config with read_timeout = Some 0.15 } in
+  let rows =
+    Pl.run p (fun () ->
+        let l = Rpc.serve (module Pl) p rt ~config loopback0 ~handler:Fun.id in
+        let rows =
+          List.concat_map
+            (fun bytewise ->
+              List.map
+                (fun (name, script, half_close, expect) ->
+                  let got = Atomic.make None in
+                  let peer =
+                    Domain.spawn (fun () ->
+                        let fd = raw_connect (Listener.addr l) in
+                        let n = String.length script in
+                        let piece = if bytewise then 1 else n in
+                        let rec put off =
+                          if off < n then
+                            put (off + Unix.write_substring fd script off (min piece (n - off)))
+                        in
+                        (* A server that has already closed on a bad frame
+                           resets the rest of the script. *)
+                        (try put 0
+                         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+                        if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                        let b = Buffer.create 64 and chunk = Bytes.create 4096 in
+                        let rec slurp () =
+                          match Unix.read fd chunk 0 4096 with
+                          | 0 -> ()
+                          | k ->
+                              Buffer.add_subbytes b chunk 0 k;
+                              slurp ()
+                          | exception Unix.Unix_error _ -> ()
+                        in
+                        slurp ();
+                        Unix.close fd;
+                        Atomic.set got (Some (Buffer.contents b)))
+                  in
+                  let rec wait i =
+                    if Atomic.get got = None && i < 1000 then begin
+                      Pl.sleep p 0.005;
+                      wait (i + 1)
+                    end
+                  in
+                  wait 0;
+                  Domain.join peer;
+                  let row outcomes =
+                    Printf.sprintf "%s, %s: %s" name
+                      (if bytewise then "bytewise" else "whole")
+                      (String.concat " | " outcomes)
+                  in
+                  ( row expect,
+                    row
+                      (match Atomic.get got with
+                      | Some a -> render_frames a
+                      | None -> [ "peer stuck" ]) ))
+                rpc_server_cases)
+            [ false; true ]
+        in
+        Listener.shutdown ~grace:2. l;
+        rows)
+  in
+  Alcotest.(check (list string)) label (List.map fst rows) (List.map snd rows)
+
+let rpc_server_fault () =
+  let seed =
+    match Sys.getenv_opt "CHAOS_SEED" with Some s -> int_of_string s | None -> 0x59c
+  in
+  ( seed,
+    Fault.create
+      {
+        (Fault.storm ~seed ~rate:0.0 ()) with
+        Fault.p_short = 0.3;
+        p_eagain = 0.05;
+        p_delay = 0.05;
+        delay_s = 0.001;
+      } )
+
+let check_injected fault =
+  let inj = Fault.injected fault in
+  Alcotest.(check bool)
+    (Printf.sprintf "short reads and delays injected (%d, %d)" inj.shorts inj.delays)
+    true
+    (inj.shorts > 0 && inj.delays > 0)
+
+let test_rpc_server_decoding_lhws () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  let seed, fault = rpc_server_fault () in
+  with_lhws_net ~workers:2 ~fault (fun p rt ->
+      run_rpc_server_cases (module P.Lhws_instance) p rt
+        ~label:(Printf.sprintf "lhws fibers (seed %#x)" seed);
+      Alcotest.(check int) "io_pending gauge drained" 0
+        (P.Lhws_instance.stats p).Scheduler_core.io_pending);
+  check_injected fault;
+  Alcotest.(check int) "no descriptor leaked" before (count_fds ())
+
+let test_rpc_server_decoding_threads () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  let seed, fault = rpc_server_fault () in
+  let module Pt = P.Threaded_instance in
+  let tp = Pt.create () in
+  Fun.protect
+    ~finally:(fun () -> Pt.shutdown tp)
+    (fun () ->
+      run_rpc_server_cases (module Pt) tp (Reactor.blocking ~fault ())
+        ~label:(Printf.sprintf "threads blocking (seed %#x)" seed));
+  check_injected fault;
+  Alcotest.(check int) "no descriptor leaked" before (count_fds ())
+
+(* --- the reader's hold: after [on_data] raises [Hold] nothing more is
+       read until [resume_reader], and [close] ends a held reader in
+       fiber mode, releasing its descriptor --- *)
+
+let test_conn_reader_hold () =
+  let count_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = count_fds () in
+  with_lhws_net (fun p rt ->
+      let module Pl = P.Lhws_instance in
+      let chunks, ended =
+        Pl.run p (fun () ->
+            let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            let c = Conn.create rt a in
+            let chunks = ref [] and ended = Promise.create () in
+            Conn.start_reader c
+              ~spawn:(fun f -> ignore (Pl.async p f : unit Promise.t))
+              ~on_data:(fun buf pos len ->
+                chunks := Bytes.sub_string buf pos len :: !chunks;
+                raise Conn.Hold)
+              ~on_end:(fun e -> Promise.fulfill ended (Ok e));
+            let send s = ignore (Unix.write_substring b s 0 (String.length s) : int) in
+            send "x";
+            Pl.sleep p 0.02;
+            send "y";
+            Pl.sleep p 0.02;
+            let held = List.rev !chunks in
+            Conn.resume_reader c;
+            Pl.sleep p 0.02;
+            let resumed = List.rev !chunks in
+            Conn.close c;
+            let e = Pl.await p ended in
+            Unix.close b;
+            ( [ String.concat "," held; String.concat "," resumed ],
+              match e with Some Net.Closed -> "closed" | _ -> "other" ))
+      in
+      Alcotest.(check (list string)) "nothing read while held" [ "x"; "x,y" ] chunks;
+      Alcotest.(check string) "close ends the held reader" "closed" ended;
+      Alcotest.(check int) "io_pending gauge drained" 0
+        (Pl.stats p).Scheduler_core.io_pending);
+  Alcotest.(check int) "descriptor released" before (count_fds ())
+
 let () =
   Alcotest.run "net"
     [
@@ -554,12 +757,17 @@ let () =
             test_rpc_read_timeout_silent_server;
           Alcotest.test_case "read_timeout spans slow replies" `Quick
             test_rpc_read_timeout_slow_server;
+          Alcotest.test_case "server decoding on lhws fibers" `Quick
+            test_rpc_server_decoding_lhws;
+          Alcotest.test_case "server decoding on threads blocking" `Quick
+            test_rpc_server_decoding_threads;
         ] );
       ( "conn",
         [
           Alcotest.test_case "deadline (fibers)" `Quick test_conn_deadline_fibers;
           Alcotest.test_case "deadline (blocking)" `Quick test_conn_deadline_blocking;
           Alcotest.test_case "close while parked" `Quick test_close_while_parked_no_leak;
+          Alcotest.test_case "reader hold" `Quick test_conn_reader_hold;
         ] );
       ( "listener",
         [
